@@ -11,12 +11,14 @@
 namespace zhuge::stats {
 
 /// Accumulates double samples; answers quantile / tail-ratio queries.
-/// Sorting is lazy and cached.
+/// Sorting is lazy and cached in a separate vector: samples() always
+/// returns insertion order, so a fingerprint over it (app::Fnv::dist) and
+/// mean() do not depend on whether a quantile was read first.
 class Distribution {
  public:
   void add(double v) {
     samples_.push_back(v);
-    sorted_ = false;
+    sorted_valid_ = false;
   }
 
   [[nodiscard]] std::size_t count() const { return samples_.size(); }
@@ -46,16 +48,16 @@ class Distribution {
     const auto lo = static_cast<std::size_t>(pos);
     const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
     const double frac = pos - static_cast<double>(lo);
-    return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+    return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
   }
 
   [[nodiscard]] double min() const {
     ensure_sorted();
-    return samples_.empty() ? 0.0 : samples_.front();
+    return sorted_.empty() ? 0.0 : sorted_.front();
   }
   [[nodiscard]] double max() const {
     ensure_sorted();
-    return samples_.empty() ? 0.0 : samples_.back();
+    return sorted_.empty() ? 0.0 : sorted_.back();
   }
 
   /// Fraction of samples strictly above `threshold` (the paper's tail
@@ -63,33 +65,36 @@ class Distribution {
   [[nodiscard]] double ratio_above(double threshold) const {
     if (samples_.empty()) return 0.0;
     ensure_sorted();
-    const auto it = std::upper_bound(samples_.begin(), samples_.end(), threshold);
-    return static_cast<double>(samples_.end() - it) / static_cast<double>(samples_.size());
+    const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), threshold);
+    return static_cast<double>(sorted_.end() - it) / static_cast<double>(sorted_.size());
   }
 
   /// Fraction of samples strictly below `threshold` (e.g. P(fps < 10)).
   [[nodiscard]] double ratio_below(double threshold) const {
     if (samples_.empty()) return 0.0;
     ensure_sorted();
-    const auto it = std::lower_bound(samples_.begin(), samples_.end(), threshold);
-    return static_cast<double>(it - samples_.begin()) / static_cast<double>(samples_.size());
+    const auto it = std::lower_bound(sorted_.begin(), sorted_.end(), threshold);
+    return static_cast<double>(it - sorted_.begin()) / static_cast<double>(sorted_.size());
   }
 
   /// Complementary CDF value at x: P(sample > x).
   [[nodiscard]] double ccdf(double x) const { return ratio_above(x); }
 
+  /// Samples in insertion order.
   [[nodiscard]] const std::vector<double>& samples() const { return samples_; }
 
  private:
   void ensure_sorted() const {
-    if (!sorted_) {
-      std::sort(samples_.begin(), samples_.end());
-      sorted_ = true;
+    if (!sorted_valid_) {
+      sorted_ = samples_;
+      std::sort(sorted_.begin(), sorted_.end());
+      sorted_valid_ = true;
     }
   }
 
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
+  std::vector<double> samples_;
+  mutable std::vector<double> sorted_;  ///< sorted copy of samples_
+  mutable bool sorted_valid_ = true;
 };
 
 /// Fixed-bin 2-D histogram used for the Fig. 19 estimated-vs-real heatmap.

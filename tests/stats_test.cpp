@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <deque>
 #include <utility>
+#include <vector>
 
 #include "sim/random.hpp"
 #include "stats/distribution.hpp"
@@ -329,6 +330,24 @@ TEST(Distribution, InterleavedAddAndQuery) {
   EXPECT_DOUBLE_EQ(d.quantile(0.5), 5.0);
   d.add(1.0);  // must re-sort lazily
   EXPECT_DOUBLE_EQ(d.min(), 1.0);
+}
+
+TEST(Distribution, QueriesLeaveInsertionOrderAlone) {
+  // samples() feeds the result fingerprints: reading a quantile, the
+  // extremes or a tail ratio must not reorder it.
+  Distribution d;
+  const std::vector<double> in = {3.0, 1.0, 4.0, 1.5, 9.0, 2.6};
+  for (const double v : in) d.add(v);
+  const double mean_before = d.mean();
+  EXPECT_DOUBLE_EQ(d.quantile(0.5), 2.8);
+  EXPECT_DOUBLE_EQ(d.min(), 1.0);
+  EXPECT_DOUBLE_EQ(d.max(), 9.0);
+  EXPECT_DOUBLE_EQ(d.ratio_above(3.0), 2.0 / 6.0);
+  EXPECT_EQ(d.samples(), in);
+  EXPECT_EQ(d.mean(), mean_before);
+  d.add(0.5);  // invalidates the sorted copy, still appends in order
+  EXPECT_DOUBLE_EQ(d.min(), 0.5);
+  EXPECT_EQ(d.samples().back(), 0.5);
 }
 
 TEST(Heatmap2D, BinsAreLogSpacedAndRowNormalised) {

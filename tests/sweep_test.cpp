@@ -109,6 +109,34 @@ TEST(Sweep, RepeatedRunsAreReproducible) {
   EXPECT_NE(first[0].fingerprint, first[1].fingerprint);  // seeds matter
 }
 
+TEST(Sweep, FingerprintIgnoresQuantileReads) {
+  // Quantile queries sort a cached copy, never the samples the
+  // fingerprint hashes in insertion order.
+  const trace::Trace tr =
+      trace::make_trace(trace::TraceKind::kRestaurantWifi, 3, 6_s);
+  std::vector<SweepPoint> scenarios(1);
+  scenarios[0].name = "rtp-zhuge";
+  scenarios[0].config.ap.mode = ApMode::kZhuge;
+  scenarios[0].config.channel_trace = &tr;
+  scenarios[0].config.duration = 6_s;
+  scenarios[0].config.warmup = 2_s;
+  const auto runs = run_sweep(cross_seeds(scenarios, {1}), {.threads = 1});
+  ASSERT_EQ(runs.size(), 1u);
+  const ScenarioResult& r = runs[0].result;
+  const std::uint64_t before = result_fingerprint(r);
+  EXPECT_EQ(before, runs[0].fingerprint);
+  ASSERT_GT(r.primary().frame_delay_ms.count(), 1u);
+  for (const auto& flow : r.flows) {
+    (void)flow.network_rtt_ms.quantile(0.95);
+    (void)flow.downlink_owd_ms.quantile(0.5);
+    (void)flow.frame_delay_ms.quantile(0.99);
+    (void)flow.frame_rate_fps.min();
+  }
+  (void)r.sender_rtt_ms.max();
+  (void)r.prediction_error_ms.ratio_above(1.0);
+  EXPECT_EQ(result_fingerprint(r), before);
+}
+
 TEST(Sweep, RunSweepRestoresObsSwitches) {
   const bool metrics_was = obs::metrics_enabled();
   const bool tracing_was = obs::tracing_enabled();
