@@ -19,7 +19,6 @@
 //   feedback.hold_bound       - no ACK held past the configured cap
 //   feedback.twcc_monotone    - AP-built TWCC sequences strictly increase
 //   queue.nonnegative_bytes   - qdisc byte accounting never underflows
-//   link.nonnegative_bytes    - wired-link buffer accounting likewise
 
 #include <cstdint>
 #include <string>

@@ -1,9 +1,12 @@
 #pragma once
 // Drop-tail FIFO — the paper's baseline queue discipline.
-
-#include <deque>
+//
+// Packets and their enqueue instants share one sim::SoaRing, which grows
+// to the queue's peak depth; after that, enqueue and dequeue allocate
+// nothing.
 
 #include "queue/qdisc.hpp"
+#include "sim/ring.hpp"
 
 namespace zhuge::queue {
 
@@ -22,18 +25,16 @@ class DropTailFifo : public Qdisc {
     }
     bytes_ += p.size_bytes;
     if (queue_.empty()) head_since_ = now;
-    enqueue_times_.push_back(now);
-    queue_.push_back(std::move(p));
-    obs_enqueued(queue_.back(), now);
+    queue_.push_back(now.count_ns(), std::move(p));
+    obs_enqueued(queue_.back_v(), now);
     return true;
   }
 
   std::optional<Packet> dequeue(TimePoint now) override {
     if (queue_.empty()) return std::nullopt;
-    Packet p = std::move(queue_.front());
+    Packet p = std::move(queue_.front_v());
+    const TimePoint enq{queue_.front_t()};
     queue_.pop_front();
-    const TimePoint enq = enqueue_times_.front();
-    enqueue_times_.pop_front();
     bytes_ -= p.size_bytes;
     head_since_ = queue_.empty() ? std::optional<TimePoint>{} : now;
     obs_dequeued(p, now, now - enq);
@@ -41,7 +42,7 @@ class DropTailFifo : public Qdisc {
   }
 
   [[nodiscard]] const Packet* peek() const override {
-    return queue_.empty() ? nullptr : &queue_.front();
+    return queue_.empty() ? nullptr : &queue_.front_v();
   }
   [[nodiscard]] std::int64_t byte_count() const override { return bytes_; }
   [[nodiscard]] std::size_t packet_count() const override { return queue_.size(); }
@@ -50,8 +51,7 @@ class DropTailFifo : public Qdisc {
  private:
   std::int64_t limit_bytes_;
   std::int64_t bytes_ = 0;
-  std::deque<Packet> queue_;
-  std::deque<TimePoint> enqueue_times_;  ///< parallel to queue_, for sojourn
+  sim::SoaRing<Packet> queue_;  ///< keyed by enqueue time (ns), for sojourn
   std::optional<TimePoint> head_since_;
 };
 

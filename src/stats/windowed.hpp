@@ -6,8 +6,8 @@
 // default), while cur(...) values are read directly from the queue.
 //
 // Layout (PR 8): every estimator stores its window in a structure-of-arrays
-// ring buffer (detail::SoaRing) — one contiguous power-of-two array of
-// int64 timestamps and a parallel array of values — instead of a
+// ring buffer (sim::SoaRing in sim/ring.hpp) — one contiguous power-of-two
+// array of int64 timestamps and a parallel array of values — instead of a
 // std::deque of {t, value} structs. The Fortune Teller records a departure
 // and asks for a prediction on *every* downlink packet, so the record/
 // evict/query cycle is the per-packet hot path at the AP (the paper's CPU
@@ -29,87 +29,15 @@
 #include <cstdint>
 #include <cstddef>
 #include <optional>
-#include <vector>
 
 #include "sim/random.hpp"
+#include "sim/ring.hpp"
 #include "sim/time.hpp"
 
 namespace zhuge::stats {
 
 using sim::Duration;
 using sim::TimePoint;
-
-namespace detail {
-
-/// Structure-of-arrays ring buffer of (int64 timestamp, V value) pairs.
-/// Power-of-two capacity; grows by doubling (unwrapping into the new
-/// arrays) and never shrinks — windowed callers reach their peak
-/// occupancy once and then run allocation-free. Supports deque-style
-/// access at both ends plus ordered random access, which is all the
-/// windowed estimators and their monotonic-deque variants need.
-template <typename V>
-class SoaRing {
- public:
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const { return size_; }
-
-  void push_back(std::int64_t t, V v) {
-    if (size_ == capacity()) grow();
-    const std::size_t i = (head_ + size_) & mask_;
-    t_[i] = t;
-    v_[i] = v;
-    ++size_;
-  }
-
-  void pop_front() {
-    head_ = (head_ + 1) & mask_;
-    --size_;
-  }
-  void pop_back() { --size_; }
-
-  [[nodiscard]] std::int64_t front_t() const { return t_[head_]; }
-  [[nodiscard]] V front_v() const { return v_[head_]; }
-  [[nodiscard]] std::int64_t back_t() const {
-    return t_[(head_ + size_ - 1) & mask_];
-  }
-  [[nodiscard]] V back_v() const { return v_[(head_ + size_ - 1) & mask_]; }
-
-  /// In-window order: i = 0 is the oldest retained sample.
-  [[nodiscard]] std::int64_t t_at(std::size_t i) const {
-    return t_[(head_ + i) & mask_];
-  }
-  [[nodiscard]] V v_at(std::size_t i) const { return v_[(head_ + i) & mask_]; }
-
-  void clear() {
-    head_ = 0;
-    size_ = 0;
-  }
-
- private:
-  [[nodiscard]] std::size_t capacity() const { return t_.size(); }
-
-  void grow() {
-    const std::size_t cap = capacity() == 0 ? 16 : capacity() * 2;
-    std::vector<std::int64_t> nt(cap);
-    std::vector<V> nv(cap);
-    for (std::size_t i = 0; i < size_; ++i) {
-      nt[i] = t_[(head_ + i) & mask_];
-      nv[i] = v_[(head_ + i) & mask_];
-    }
-    t_ = std::move(nt);
-    v_ = std::move(nv);
-    head_ = 0;
-    mask_ = cap - 1;
-  }
-
-  std::vector<std::int64_t> t_;
-  std::vector<V> v_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-  std::size_t mask_ = 0;  // capacity - 1 (0 while empty: never indexed)
-};
-
-}  // namespace detail
 
 /// Rate of a byte-counted event stream over a trailing time window.
 ///
@@ -171,7 +99,7 @@ class WindowedRate {
 
   Duration window_;
   double window_secs_;  ///< window_.to_seconds(), hoisted out of queries
-  detail::SoaRing<std::int64_t> samples_;
+  sim::SoaRing<std::int64_t> samples_;
   std::int64_t total_bytes_ = 0;
 };
 
@@ -268,8 +196,8 @@ class WindowedMean {
   }
 
   Duration window_;
-  detail::SoaRing<double> samples_;
-  detail::SoaRing<double> max_ring_;  // monotonic non-increasing by value
+  sim::SoaRing<double> samples_;
+  sim::SoaRing<double> max_ring_;  // monotonic non-increasing by value
   double sum_ = 0.0;
   std::uint32_t records_since_resum_ = 0;
   bool max_live_ = false;  // ring maintained only once max() is used
@@ -299,7 +227,7 @@ class WindowedMax {
   }
 
   Duration window_;
-  detail::SoaRing<double> ring_;
+  sim::SoaRing<double> ring_;
 };
 
 /// Minimum over a trailing time window (e.g. min-RTT filters in CCAs).
@@ -326,7 +254,7 @@ class WindowedMin {
   }
 
   Duration window_;
-  detail::SoaRing<double> ring_;
+  sim::SoaRing<double> ring_;
 };
 
 /// A trailing-window bag of samples supporting uniform random draws.
@@ -367,7 +295,7 @@ class WindowedSampler {
   }
 
   Duration window_;
-  detail::SoaRing<double> samples_;
+  sim::SoaRing<double> samples_;
 };
 
 /// Classic exponentially-weighted moving average.

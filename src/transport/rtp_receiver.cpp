@@ -83,8 +83,8 @@ void RtpReceiver::on_rtp(const Packet& p) {
     fs.seen = true;
     fs.first_arrival = now;
   }
-  fs.received.insert(h.packet_in_frame);
-  if (!fs.complete && fs.total > 0 && fs.received.size() >= fs.total) {
+  fs.mark(h.packet_in_frame);
+  if (!fs.complete && fs.total > 0 && fs.received >= fs.total) {
     fs.complete = true;
     fs.complete_time = now;
   }
@@ -98,7 +98,7 @@ void RtpReceiver::try_decode() {
     auto it = frames_.find(next_decode_frame_);
     if (it == frames_.end()) break;
     FrameState& fs = it->second;
-    if (fs.total == 0 || fs.received.size() < fs.total) break;
+    if (fs.total == 0 || fs.received < fs.total) break;
     stats_.on_frame_decoded(fs.capture, sim_.now());
     if (obs::attrib_enabled()) {
       obs::FrameSpan span;
@@ -124,7 +124,7 @@ void RtpReceiver::send_twcc() {
   if (flow_known_ && !pending_twcc_.empty()) {
     net::TwccFeedback fb;
     fb.ssrc = cfg_.ssrc;
-    fb.entries = std::move(pending_twcc_);
+    fb.entries.assign(pending_twcc_.begin(), pending_twcc_.end());
     pending_twcc_.clear();
     rtcp_out_(make_rtcp(net::RtcpHeader{std::move(fb)}));
   }
@@ -146,7 +146,7 @@ void RtpReceiver::maybe_skip_stalled() {
       }
       break;
     }
-    if (it->second.received.size() >= it->second.total && it->second.total > 0) {
+    if (it->second.received >= it->second.total && it->second.total > 0) {
       try_decode();
       continue;
     }

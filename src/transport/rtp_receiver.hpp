@@ -5,7 +5,7 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "net/seq.hpp"
@@ -80,12 +80,30 @@ class RtpReceiver {
   net::FlowId reverse_flow_;  ///< learned from the first RTP packet
   bool flow_known_ = false;
 
-  // TWCC bookkeeping.
+  // TWCC bookkeeping. Copied out into each report, so the buffer keeps
+  // its capacity from one report to the next.
   std::vector<net::TwccFeedback::Entry> pending_twcc_;
 
   // Frame reassembly: frame_id -> (packets received, total, capture).
   struct FrameState {
-    std::set<std::uint16_t> received;
+    /// Bit i of the bitmap is set once packet_in_frame i arrived: packets
+    /// 0-63 in `seen_lo` (every frame at the paper's bitrates), the rest
+    /// in `seen_hi`. `received` counts the set bits, so duplicates and
+    /// retransmissions count once.
+    std::uint64_t seen_lo = 0;
+    std::vector<std::uint64_t> seen_hi;
+    std::uint32_t received = 0;
+    void mark(std::uint16_t i) {
+      std::uint64_t* word = &seen_lo;
+      if (i >= 64) {
+        const std::size_t k = i / 64 - 1;
+        if (k >= seen_hi.size()) seen_hi.resize(k + 1);
+        word = &seen_hi[k];
+      }
+      const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+      if ((*word & bit) == 0) ++received;
+      *word |= bit;
+    }
     std::uint16_t total = 0;
     TimePoint capture;
     TimePoint first_arrival;

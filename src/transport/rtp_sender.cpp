@@ -90,20 +90,18 @@ void RtpSender::send_packet(Packet p, Duration offset) {
   const TimePoint departure = sim_.now() + offset;
   ++rtp_sent_unwrapped_;
   ++twcc_sent_unwrapped_;
-  const std::int64_t rtp_unwrapped = rtp_sent_unwrapped_;
-  twcc_history_[twcc_sent_unwrapped_] = {departure, p.size_bytes};
+  twcc_history_.push_back(departure.count_ns(), p.size_bytes);
 
-  rtp_history_[rtp_unwrapped] = p;  // copy for possible retransmission
-  // Keys are monotone, so the oldest entries are the ordered prefix.
-  while (rtp_history_.size() > cfg_.history_packets) {
-    rtp_history_.erase(rtp_history_.begin());
-  }
+  // Keep what a retransmission needs; keys are monotone, so the oldest
+  // entries are the front of the ring.
+  rtp_history_.push_back(rtp_sent_unwrapped_, {p.rtp(), p.size_bytes});
+  while (rtp_history_.size() > cfg_.history_packets) rtp_history_.pop_front();
   // Bound the TWCC history alongside: drop everything older than the
-  // retained window (keys are monotone, so this is an ordered prefix).
+  // retained window.
   if (twcc_history_.size() > 4 * cfg_.history_packets) {
     const std::int64_t cutoff =
         twcc_sent_unwrapped_ - static_cast<std::int64_t>(2 * cfg_.history_packets);
-    twcc_history_.erase(twcc_history_.begin(), twcc_history_.lower_bound(cutoff));
+    for (std::int64_t s = twcc_history_first(); s < cutoff; ++s) twcc_history_.pop_front();
   }
 
   ++packets_sent_;
@@ -132,21 +130,22 @@ void RtpSender::on_rtcp(const Packet& p) {
 }
 
 void RtpSender::handle_twcc(const net::TwccFeedback& fb) {
-  std::vector<cca::TwccObservation> obs;
-  obs.reserve(fb.entries.size());
+  std::vector<cca::TwccObservation>& obs = twcc_obs_;
+  obs.clear();
   std::int64_t min_seq = INT64_MAX;
   std::int64_t max_seq = INT64_MIN;
   for (const auto& e : fb.entries) {
     const std::int64_t unwrapped = twcc_unwrap_rx_.unwrap(e.twcc_seq);
     min_seq = std::min(min_seq, unwrapped);
     max_seq = std::max(max_seq, unwrapped);
-    const auto it = twcc_history_.find(unwrapped);
-    if (it == twcc_history_.end()) continue;
+    const std::int64_t pos = unwrapped - twcc_history_first();
+    if (pos < 0 || pos >= static_cast<std::int64_t>(twcc_history_.size())) continue;
+    const auto i = static_cast<std::size_t>(pos);
     cca::TwccObservation o;
     o.twcc_seq = e.twcc_seq;
-    o.send_time = it->second.send_time;
+    o.send_time = TimePoint{twcc_history_.t_at(i)};
     o.recv_time = e.recv_time;
-    o.size_bytes = it->second.size_bytes;
+    o.size_bytes = twcc_history_.v_at(i);
     obs.push_back(o);
   }
   if (obs.empty()) return;
@@ -210,20 +209,26 @@ void RtpSender::handle_nack(const net::RtcpNack& nack) {
       continue;
     }
     const std::int64_t unwrapped = rtp_unwrap_rx_.unwrap(seq);
-    const auto it = rtp_history_.find(unwrapped);
-    if (it == rtp_history_.end()) continue;
-    Packet rtx = it->second;
+    if (rtp_history_.empty() || unwrapped < rtp_history_.front_t() ||
+        unwrapped > rtp_history_.back_t()) {
+      continue;
+    }
+    const RtxRecord& rec = rtp_history_.v_at(
+        static_cast<std::size_t>(unwrapped - rtp_history_.front_t()));
+    Packet rtx;
     rtx.uid = uids_.next();
+    rtx.flow = flow_;
+    rtx.size_bytes = rec.size_bytes;
     rtx.sent_time = sim_.now();
-    // The history copy carries the original transmission's span stamps;
-    // this is a new wire journey, so start a fresh span.
-    rtx.span = {};
+    // A new wire journey, so a fresh span.
     ZHUGE_SPAN_STAMP(rtx.span.paced_ns, sim_.now());
-    rtx.rtp().retransmission = true;
+    net::RtpHeader h = rec.header;
+    h.retransmission = true;
     // Retransmissions travel with fresh TWCC sequence numbers.
-    rtx.rtp().twcc_seq = next_twcc_seq_++;
+    h.twcc_seq = next_twcc_seq_++;
+    rtx.header = h;
     ++twcc_sent_unwrapped_;
-    twcc_history_[twcc_sent_unwrapped_] = {sim_.now(), rtx.size_bytes};
+    twcc_history_.push_back(sim_.now().count_ns(), rtx.size_bytes);
     ++retransmissions_;
     ++packets_sent_;
     rtx_rate_.record(sim_.now(), rtx.size_bytes);

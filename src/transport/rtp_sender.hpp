@@ -6,7 +6,6 @@
 // TWCC reports into GCC (or NADA).
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -19,6 +18,7 @@
 #include "rtc/video.hpp"
 #include "sim/pool.hpp"
 #include "sim/random.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 
 namespace zhuge::transport {
@@ -118,18 +118,26 @@ class RtpSender {
   std::uint64_t packets_sent_ = 0;
   std::uint64_t retransmissions_ = 0;
 
-  struct SendRecord {
-    TimePoint send_time;
+  /// TWCC send history: send time (ns) and wire size of every unwrapped
+  /// TWCC sequence from twcc_history_first() to twcc_sent_unwrapped_.
+  /// Sequences are consecutive (each send and retransmission takes the
+  /// next one), so the key is the ring position and never stored.
+  sim::SoaRing<std::uint32_t> twcc_history_;
+  net::SeqUnwrapper twcc_unwrap_rx_;  ///< unwraps seqs in feedback
+  /// handle_twcc's observation buffer, kept to reuse its capacity.
+  std::vector<cca::TwccObservation> twcc_obs_;
+  std::int64_t twcc_sent_unwrapped_ = -1;
+  [[nodiscard]] std::int64_t twcc_history_first() const {
+    return twcc_sent_unwrapped_ + 1 - static_cast<std::int64_t>(twcc_history_.size());
+  }
+
+  /// What a NACK retransmission rebuilds its packet from.
+  struct RtxRecord {
+    net::RtpHeader header;
     std::uint32_t size_bytes = 0;
   };
-  /// TWCC send history keyed by *unwrapped* TWCC sequence. Ordered so the
-  /// age-based prune is a cheap erase-prefix and no hash order leaks in.
-  std::map<std::int64_t, SendRecord> twcc_history_;
-  net::SeqUnwrapper twcc_unwrap_rx_;  ///< unwraps seqs in feedback
-  std::int64_t twcc_sent_unwrapped_ = -1;
-
-  /// Packet history for NACK retransmission, keyed by unwrapped RTP seq.
-  std::map<std::int64_t, Packet> rtp_history_;
+  /// The last history_packets RTP packets, keyed by unwrapped RTP seq.
+  sim::SoaRing<RtxRecord> rtp_history_;
   net::SeqUnwrapper rtp_unwrap_rx_;
   std::int64_t rtp_sent_unwrapped_ = -1;
 

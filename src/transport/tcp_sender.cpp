@@ -41,11 +41,12 @@ void TcpSender::on_rto_fired() {
 }
 
 void TcpSender::retransmit_first_unacked() {
-  auto it = in_flight_.begin();
-  if (it == in_flight_.end()) return;
-  ++it->second.transmissions;
+  if (in_flight_.empty()) return;
+  SentSegment& seg = in_flight_.front_v();
+  ++seg.transmissions;
   ++retransmissions_;
-  send_segment(it->first, it->second, /*retransmit=*/true);
+  send_segment(static_cast<std::uint64_t>(in_flight_.front_t()), seg,
+               /*retransmit=*/true);
 }
 
 void TcpSender::send_segment(std::uint64_t seq, const SentSegment& meta,
@@ -91,7 +92,7 @@ void TcpSender::try_send() {
     seg.frame_end_seq = chunk.end_seq;
     seg.delivered_at_send = delivered_bytes_;
 
-    in_flight_.emplace(next_seq_, seg);
+    in_flight_.push_back(static_cast<std::int64_t>(next_seq_), seg);
     bytes_in_flight_ += take;
     backlog_bytes_ -= take;
     chunk.remaining -= take;
@@ -154,14 +155,14 @@ void TcpSender::on_ack(const Packet& ack) {
   bool have_sample = false;
   SentSegment sample_seg{};
   while (!in_flight_.empty()) {
-    auto it = in_flight_.begin();
-    if (it->second.end_seq > h.ack) break;
-    newly_acked += it->second.end_seq - it->first;
-    if (it->second.transmissions == 1) {
-      sample_seg = it->second;
+    const SentSegment& seg = in_flight_.front_v();
+    if (seg.end_seq > h.ack) break;
+    newly_acked += seg.end_seq - static_cast<std::uint64_t>(in_flight_.front_t());
+    if (seg.transmissions == 1) {
+      sample_seg = seg;
       have_sample = true;
     }
-    in_flight_.erase(it);
+    in_flight_.pop_front();
   }
   double delivery_sample_bps = 0.0;
   if (newly_acked > 0) {
@@ -185,10 +186,8 @@ void TcpSender::on_ack(const Packet& ack) {
     // retransmit it immediately instead of waiting out an RTO per hole
     // (an RTO-per-hole cascade is a death spiral under bursty loss).
     if (snd_una_ < recovery_until_ && !in_flight_.empty() &&
-        in_flight_.begin()->first < h.sack_upto) {
-      ++in_flight_.begin()->second.transmissions;
-      ++retransmissions_;
-      send_segment(in_flight_.begin()->first, in_flight_.begin()->second, true);
+        static_cast<std::uint64_t>(in_flight_.front_t()) < h.sack_upto) {
+      retransmit_first_unacked();
     }
   } else if (h.ack == last_ack_ && !in_flight_.empty()) {
     ++dupacks_;

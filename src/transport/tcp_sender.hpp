@@ -10,11 +10,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 
 #include "cca/cca.hpp"
 #include "net/packet.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 #include "stats/windowed.hpp"
 
@@ -123,7 +123,9 @@ class TcpSender {
   // Sequencing.
   std::uint64_t next_seq_ = 0;  ///< next new byte to send
   std::uint64_t snd_una_ = 0;   ///< oldest unacknowledged byte
-  std::map<std::uint64_t, SentSegment> in_flight_;  ///< by start seq
+  /// Unacked segments keyed by start seq, oldest first: new segments go
+  /// on the back, cumulative ACKs retire the front.
+  sim::SoaRing<SentSegment> in_flight_;
   std::uint64_t bytes_in_flight_ = 0;
   /// ACKs for data at or below this offset carry delivery-rate samples
   /// taken while the app (not cwnd/pacing) limited sending — the sample

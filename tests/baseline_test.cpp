@@ -189,10 +189,10 @@ struct MechanismPin {
 };
 
 constexpr MechanismPin kMechanismPins[] = {
-    {app::ApMode::kNone, "vanilla", 0x9cf75a18dc09e18full},
-    {app::ApMode::kZhuge, "zhuge", 0x85c0955d4bef0a92ull},
-    {app::ApMode::kFastAck, "fastack", 0xa4d009155353be9cull},
-    {app::ApMode::kAbc, "abc", 0x0ff8908347294ee5ull},
+    {app::ApMode::kNone, "vanilla", 0x21d961129f21fc5bull},
+    {app::ApMode::kZhuge, "zhuge", 0x16d23d593cc0855cull},
+    {app::ApMode::kFastAck, "fastack", 0xeca783f9a778ab70ull},
+    {app::ApMode::kAbc, "abc", 0xe5f6bdf78f1f90cfull},
 };
 
 TEST(BaselineIntegration, EachMechanismRunsCleanWithPinnedFingerprint) {

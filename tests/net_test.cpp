@@ -3,11 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <deque>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "net/link.hpp"
 #include "net/packet.hpp"
 #include "net/seq.hpp"
+#include "prop.hpp"
+#include "sim/pool.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
 namespace zhuge::net {
@@ -165,39 +173,151 @@ TEST(PointToPointLink, PreservesOrder) {
   for (std::uint64_t i = 0; i < 20; ++i) EXPECT_EQ(uids[i], i);
 }
 
-TEST(PointToPointLink, BoundedBufferDrops) {
-  Simulator sim;
-  int delivered = 0;
+/// The two-event link that PointToPointLink replaced, kept as the
+/// reference its one-event form must match: a FIFO of pooled packets, a
+/// serialization-end event that starts the next packet, then a separate
+/// propagation event per packet.
+class TwoEventReferenceLink {
+ public:
+  TwoEventReferenceLink(Simulator& sim, PointToPointLink::Config cfg, PacketHandler sink)
+      : sim_(sim), cfg_(cfg), sink_(std::move(sink)) {}
+
+  void send(Packet p) {
+    queue_.push_back(pool_.put(std::move(p)));
+    if (!busy_) transmit_next();
+  }
+  void set_fault_hook(PacketHandler hook) { fault_hook_ = std::move(hook); }
+
+ private:
+  void transmit_next() {
+    if (queue_.empty()) {
+      busy_ = false;
+      return;
+    }
+    busy_ = true;
+    const sim::Pool<Packet>::Index idx = queue_.front();
+    queue_.pop_front();
+    const Duration tx = Duration::from_seconds(
+        static_cast<double>(pool_.at(idx).size_bytes) * 8.0 / cfg_.rate_bps);
+    sim_.schedule_after(tx, [this, idx] { on_serialized(idx); });
+  }
+
+  void on_serialized(sim::Pool<Packet>::Index idx) {
+    sim_.schedule_after(cfg_.prop_delay, [this, idx] {
+      Packet p = pool_.take(idx);
+      if (fault_hook_) {
+        fault_hook_(std::move(p));
+      } else if (sink_) {
+        sink_(std::move(p));
+      }
+    });
+    transmit_next();
+  }
+
+  Simulator& sim_;
+  PointToPointLink::Config cfg_;
+  PacketHandler sink_;
+  PacketHandler fault_hook_;
+  sim::Pool<Packet> pool_;
+  std::deque<sim::Pool<Packet>::Index> queue_;
+  bool busy_ = false;
+};
+
+/// One randomized send schedule: per packet its size and the gap to the
+/// next send. Gaps are drawn to land inside a busy period, on the same
+/// instant, exactly on the serialization end of the packet before (the
+/// busy_until instant), or after an idle spell.
+struct LinkCase {
   PointToPointLink::Config cfg;
-  cfg.rate_bps = 8e3;  // slow: keeps packets queued
-  cfg.buffer_bytes = 2000;
-  PointToPointLink link(sim, cfg, [&](Packet) { ++delivered; });
-  // First is in transmission (not buffered); next two fill the buffer.
-  EXPECT_TRUE(link.send(make_packet(1000)));
-  EXPECT_TRUE(link.send(make_packet(1000)));
-  EXPECT_TRUE(link.send(make_packet(1000)));
-  EXPECT_FALSE(link.send(make_packet(1000)));  // overflow
-  EXPECT_EQ(link.drops(), 1u);
-  sim.run();
-  EXPECT_EQ(delivered, 3);
+  std::vector<std::uint32_t> sizes;
+  std::vector<Duration> gaps;
+  bool via_fault_hook = false;
+};
+
+LinkCase draw_link_case(sim::Rng& rng) {
+  LinkCase c;
+  // Rates from 56 kbit/s to 10 Gbit/s, log-uniform, so tx times range
+  // from sub-nanosecond rounding to hundreds of milliseconds.
+  c.cfg.rate_bps = std::pow(10.0, rng.uniform(4.75, 10.0));
+  c.cfg.prop_delay = Duration::nanos(rng.uniform_int(50'000'001));
+  c.via_fault_hook = rng.chance(0.5);
+  const int n = 1 + static_cast<int>(rng.uniform_int(80));
+  TimePoint send;
+  TimePoint busy_until;
+  for (int i = 0; i < n; ++i) {
+    const std::uint32_t size = 1 + rng.uniform_int(1500);
+    c.sizes.push_back(size);
+    const Duration tx = Duration::from_seconds(size * 8.0 / c.cfg.rate_bps);
+    busy_until = std::max(send, busy_until) + tx;
+    const double pick = rng.uniform();
+    Duration gap;
+    if (pick < 0.35) {
+      gap = Duration::nanos(rng.uniform_int(static_cast<std::uint32_t>(
+          std::min<std::int64_t>(3 * tx.count_ns() + 1, 2'000'000'000))));
+    } else if (pick < 0.55) {
+      gap = Duration::zero();
+    } else if (pick < 0.9) {
+      gap = busy_until - send;
+    } else {
+      gap = (busy_until - send) + Duration::nanos(rng.uniform_int(20'000'000));
+    }
+    c.gaps.push_back(gap);
+    send += gap;
+  }
+  return c;
 }
 
-TEST(PointToPointLink, JitterBoundedByConfig) {
+/// Drive `Link` with `c`, each send scheduling the next from its own
+/// event, and return (uid, delivery time) in delivery order.
+template <typename Link>
+std::vector<std::pair<std::uint64_t, std::int64_t>> run_link_case(const LinkCase& c) {
   Simulator sim;
-  sim::Rng rng(1);
+  std::vector<std::pair<std::uint64_t, std::int64_t>> out;
+  int sink_calls = 0;
+  Link link(sim, c.cfg, [&](Packet p) {
+    ++sink_calls;
+    out.emplace_back(p.uid, sim.now().count_ns());
+  });
+  if (c.via_fault_hook) {
+    link.set_fault_hook([&](Packet p) { out.emplace_back(p.uid, sim.now().count_ns()); });
+  }
+  std::size_t next = 0;
+  std::function<void()> send_one = [&] {
+    const std::size_t i = next++;
+    link.send(make_packet(c.sizes[i], i + 1));
+    if (next < c.sizes.size()) sim.schedule_after(c.gaps[i], send_one);
+  };
+  sim.schedule_at(TimePoint::zero(), send_one);
+  sim.run();
+  EXPECT_EQ(sink_calls, c.via_fault_hook ? 0 : static_cast<int>(c.sizes.size()));
+  return out;
+}
+
+TEST(PointToPointLink, MatchesTwoEventReferenceUnderRandomSchedules) {
+  prop::for_all([](sim::Rng& rng, int) {
+    const LinkCase c = draw_link_case(rng);
+    const auto got = run_link_case<PointToPointLink>(c);
+    const auto want = run_link_case<TwoEventReferenceLink>(c);
+    ASSERT_EQ(got.size(), c.sizes.size());
+    ASSERT_EQ(got, want);
+  });
+}
+
+TEST(PointToPointLink, SendAtSerializationEndStartsAtOnce) {
+  // A send at the exact instant the previous packet finishes serializing
+  // starts at once: both packets arrive tx apart.
+  Simulator sim;
   std::vector<TimePoint> deliveries;
   PointToPointLink::Config cfg;
-  cfg.rate_bps = 8e9;
-  cfg.prop_delay = 10_ms;
-  cfg.jitter_max = 5_ms;
+  cfg.rate_bps = 8e6;
+  cfg.prop_delay = 5_ms;
   PointToPointLink link(sim, cfg, [&](Packet) { deliveries.push_back(sim.now()); });
-  link.set_rng(&rng);
-  for (int i = 0; i < 50; ++i) link.send(make_packet(100));
+  link.send(make_packet(1000));
+  sim.schedule_at(TimePoint::zero() + 1_ms, [&] { link.send(make_packet(1000)); });
   sim.run();
-  for (const auto t : deliveries) {
-    EXPECT_GE(t, TimePoint::zero() + 10_ms);
-    EXPECT_LE(t, TimePoint::zero() + 16_ms);
-  }
+  ASSERT_EQ(deliveries.size(), 2u);
+  EXPECT_EQ(deliveries[0], TimePoint::zero() + 6_ms);
+  EXPECT_EQ(deliveries[1], TimePoint::zero() + 7_ms);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "rtc/video.hpp"
 #include "sim/simulator.hpp"
@@ -129,6 +131,107 @@ TEST(RtpLoop, ReceiverReportsCarryLossFraction) {
   loop.sender->start();
   loop.sim.run_until(TimePoint::zero() + 5_s);
   EXPECT_GT(last_loss, 0.02);
+}
+
+/// A sender with a short history whose output is captured, run for one
+/// second of frames; every paced send has left by then.
+struct BareSender {
+  static constexpr std::size_t kHistory = 8;
+  Simulator sim;
+  sim::Rng rng{1};
+  net::PacketUidSource uids;
+  std::vector<Packet> sent;
+  std::unique_ptr<RtpSender> sender;
+
+  BareSender() {
+    RtpSender::Config cfg;
+    cfg.history_packets = kHistory;
+    sender = std::make_unique<RtpSender>(
+        sim, rng, net::FlowId{1, 2, 10, 20, 17}, cfg, uids,
+        [this](Packet p) { sent.push_back(std::move(p)); });
+    sender->start();
+    sim.run_until(TimePoint::zero() + 1020_ms);
+  }
+
+  void deliver_rtcp(net::RtcpHeader h) {
+    Packet p;
+    p.header = std::move(h);
+    sender->on_rtcp(p);
+  }
+
+  void nack(std::vector<std::uint16_t> seqs) {
+    net::RtcpNack n;
+    n.seqs = std::move(seqs);
+    deliver_rtcp(net::RtcpHeader{std::move(n)});
+  }
+
+  /// Report TWCC seqs [lo, hi], arriving 1 ms apart.
+  void twcc(std::int64_t lo, std::int64_t hi) {
+    net::TwccFeedback fb;
+    for (std::int64_t s = lo; s <= hi; ++s) {
+      fb.entries.push_back({static_cast<std::uint16_t>(s),
+                            sim.now() + Duration::millis(s - lo)});
+    }
+    deliver_rtcp(net::RtcpHeader{std::move(fb)});
+  }
+};
+
+TEST(RtpSender, NackServesOldestRetainedSeqButNotFirstEvicted) {
+  BareSender b;
+  const auto n = static_cast<std::int64_t>(b.sent.size());
+  ASSERT_EQ(n, static_cast<std::int64_t>(b.sender->packets_sent()));
+  ASSERT_GT(n, static_cast<std::int64_t>(2 * BareSender::kHistory));
+  const std::int64_t oldest = n - static_cast<std::int64_t>(BareSender::kHistory);
+
+  b.nack({static_cast<std::uint16_t>(oldest - 1)});  // history_packets deep: gone
+  EXPECT_EQ(b.sender->retransmissions(), 0u);
+  ASSERT_EQ(b.sent.size(), static_cast<std::size_t>(n));
+
+  b.nack({static_cast<std::uint16_t>(oldest)});
+  EXPECT_EQ(b.sender->retransmissions(), 1u);
+  ASSERT_EQ(b.sent.size(), static_cast<std::size_t>(n + 1));
+  const Packet& orig = b.sent[static_cast<std::size_t>(oldest)];
+  const Packet& rtx = b.sent.back();
+  ASSERT_EQ(orig.rtp().seq, oldest);
+  // Rebuilt from the retained header and size: same packet, new journey.
+  EXPECT_EQ(rtx.rtp().seq, orig.rtp().seq);
+  EXPECT_TRUE(rtx.rtp().retransmission);
+  EXPECT_EQ(rtx.rtp().twcc_seq, n);  // next fresh TWCC seq
+  EXPECT_EQ(rtx.rtp().frame_id, orig.rtp().frame_id);
+  EXPECT_EQ(rtx.rtp().packet_in_frame, orig.rtp().packet_in_frame);
+  EXPECT_EQ(rtx.rtp().packets_in_frame, orig.rtp().packets_in_frame);
+  EXPECT_EQ(rtx.rtp().marker, orig.rtp().marker);
+  EXPECT_EQ(rtx.rtp().capture_time, orig.rtp().capture_time);
+  EXPECT_EQ(rtx.size_bytes, orig.size_bytes);
+  EXPECT_EQ(rtx.flow, orig.flow);
+  EXPECT_NE(rtx.uid, orig.uid);
+  EXPECT_EQ(rtx.sent_time, b.sim.now());
+}
+
+TEST(RtpSender, TwccReportSpanningPruneCutoffSkipsOnlyPrunedSeqs) {
+  // Once the TWCC history holds more than 4H entries it is cut back to
+  // the newest 2H + 1, so after k sends the oldest retained seq is:
+  const std::int64_t h = BareSender::kHistory;
+  const auto first_retained = [h](std::int64_t k) {
+    return k <= 4 * h ? 0 : (k - 1) - (2 * h + (k - 4 * h - 1) % (2 * h));
+  };
+  // Three identical senders get reports that differ only at the cutoff.
+  // Pruned seqs yield no observation, so a report starting two seqs
+  // below the cutoff feeds GCC's receive rate exactly what a report
+  // starting at the cutoff does, and one starting above it does not.
+  BareSender spans, at_cut, above;
+  const auto k = static_cast<std::int64_t>(spans.sender->packets_sent());
+  ASSERT_GT(k, 4 * h);
+  const std::int64_t cut = first_retained(k);
+  ASSERT_GT(cut, 2);
+  spans.twcc(cut - 2, cut + 3);
+  at_cut.twcc(cut, cut + 3);
+  above.twcc(cut + 1, cut + 3);
+  EXPECT_GT(at_cut.sender->gcc().receive_rate_bps(), 0.0);
+  EXPECT_EQ(spans.sender->gcc().receive_rate_bps(),
+            at_cut.sender->gcc().receive_rate_bps());
+  EXPECT_NE(above.sender->gcc().receive_rate_bps(),
+            at_cut.sender->gcc().receive_rate_bps());
 }
 
 TEST(VideoEncoder, TracksTargetBitrate) {

@@ -173,6 +173,24 @@ TEST(TcpReceiver, MergesOutOfOrderIntervals) {
   rx.on_data(data(0, 1200));  // fills the hole
   EXPECT_EQ(acks.back().tcp().ack, 3600u);
   EXPECT_EQ(rx.contiguous_received(), 3600u);
+
+  // In order with nothing buffered: the fast path.
+  rx.on_data(data(3600, 4800));
+  EXPECT_EQ(acks.back().tcp().ack, 4800u);
+  // A hole, then an in-order segment that stops short of the buffered
+  // interval (fast path) and one that ends exactly at its start (merge).
+  rx.on_data(data(7200, 8400));
+  EXPECT_EQ(acks.back().tcp().ack, 4800u);
+  EXPECT_EQ(acks.back().tcp().sack_upto, 8400u);
+  rx.on_data(data(4800, 6000));
+  EXPECT_EQ(acks.back().tcp().ack, 6000u);
+  rx.on_data(data(6000, 7200));  // fills the hole
+  EXPECT_EQ(acks.back().tcp().ack, 8400u);
+  rx.on_data(data(2400, 3600));  // stale duplicate
+  EXPECT_EQ(acks.back().tcp().ack, 8400u);
+  rx.on_data(data(8000, 9600));  // overlaps the prefix
+  EXPECT_EQ(acks.back().tcp().ack, 9600u);
+  EXPECT_EQ(rx.contiguous_received(), 9600u);
 }
 
 TEST(TcpReceiver, EchoesTimestampAndAbcMark) {
