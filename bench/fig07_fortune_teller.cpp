@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   wcfg.mpdu_loss_prob = 0.0;
   wcfg.max_agg_packets = 4;
   wcfg.per_frame_overhead = Duration::micros(100);
-  wireless::WifiLink link(simu, rng, channel, medium, qdisc, wcfg, [](net::Packet) {});
+  wireless::WifiLink link(simu, rng, channel, medium, qdisc, wcfg, [](net::Packet&&) {});
 
   core::FortuneTellerConfig fcfg;
   fcfg.window = Duration::millis(20);

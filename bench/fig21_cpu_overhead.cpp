@@ -25,7 +25,7 @@ void BM_ZhugeDownlinkPacket(benchmark::State& state) {
   for (std::size_t i = 0; i < flows; ++i) {
     zf.push_back(std::make_unique<core::ZhugeFlow>(
         simu, rng, net::FlowId{1, static_cast<std::uint32_t>(100 + i), 1, 2, 6},
-        core::ZhugeConfig{}, [](net::Packet) {}));
+        core::ZhugeConfig{}, [](net::Packet&&) {}));
   }
   net::Packet p;
   p.size_bytes = 1240;
@@ -72,7 +72,7 @@ void BM_FlowsPerCoreEstimate(benchmark::State& state) {
   sim::Rng rng(1);
   queue::DropTailFifo qdisc(-1);
   core::ZhugeFlow flow(simu, rng, net::FlowId{1, 100, 1, 2, 6},
-                       core::ZhugeConfig{}, [](net::Packet) {});
+                       core::ZhugeConfig{}, [](net::Packet&&) {});
   net::Packet p;
   p.size_bytes = 1240;
   p.flow = flow.flow();

@@ -217,7 +217,7 @@ BENCHMARK(BM_WindowedRateRecord);
 void BM_AckSchedulerHoldRelease(benchmark::State& state) {
   sim::Simulator simu;
   std::uint64_t released = 0;
-  core::AckScheduler sched(simu, [&released](net::Packet) { ++released; });
+  core::AckScheduler sched(simu, [&released](net::Packet&&) { ++released; });
   net::Packet ack;
   ack.size_bytes = 64;
   net::TcpHeader h;

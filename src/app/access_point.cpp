@@ -78,7 +78,9 @@ void AccessPoint::register_station(std::uint32_t ip, wireless::Channel& channel,
   st->link->set_delivery_observer([this](const Packet& p, TimePoint now) {
     on_wireless_delivered(p, now);
   });
-  stations_[ip] = std::move(st);
+  if (const auto [it, inserted] = stations_.try_emplace(ip, std::move(st)); !inserted) {
+    it->second = std::move(st);  // re-registration replaces the station
+  }
   ZHUGE_METRIC_INC("ap.station_registered");
   ZHUGE_TRACE(sim_.now(), "ap", "register_station", {"ip", double(ip)});
 }
@@ -118,7 +120,7 @@ std::size_t AccessPoint::active_station_count() const {
   return n;
 }
 
-void AccessPoint::send_feedback(Packet p) {
+void AccessPoint::send_feedback(Packet&& p) {
   if (feedback_fault_hook_) {
     feedback_fault_hook_(std::move(p));
   } else {
@@ -131,13 +133,13 @@ void AccessPoint::register_rtc_flow(const net::FlowId& flow) {
   flow_keys_.emplace(flow, next_flow_key_);
   if (flow_keys_.size() > next_flow_key_) ++next_flow_key_;
   if (cfg_.mode == ApMode::kZhuge) {
-    zhuge_flows_.emplace(
+    zhuge_flows_.try_emplace(
         flow, std::make_unique<core::ZhugeFlow>(
                   sim_, rng_, flow, cfg_.zhuge,
-                  [this](Packet p) { send_feedback(std::move(p)); }));
+                  [this](Packet&& p) { send_feedback(std::move(p)); }));
   } else if (cfg_.mode == ApMode::kFastAck) {
-    fastack_flows_.emplace(flow,
-                           std::make_unique<baseline::FastAck>(cfg_.fastack));
+    fastack_flows_.try_emplace(flow,
+                               std::make_unique<baseline::FastAck>(cfg_.fastack));
   }
 }
 
@@ -186,13 +188,13 @@ void AccessPoint::restart_optimizer() {
   fastack_flows_.clear();
   for (const auto& flow : rtc_flows_) {
     if (cfg_.mode == ApMode::kZhuge) {
-      zhuge_flows_.emplace(
+      zhuge_flows_.try_emplace(
           flow, std::make_unique<core::ZhugeFlow>(
                     sim_, rng_, flow, cfg_.zhuge,
-                    [this](Packet p) { send_feedback(std::move(p)); }));
+                    [this](Packet&& p) { send_feedback(std::move(p)); }));
     } else if (cfg_.mode == ApMode::kFastAck) {
-      fastack_flows_.emplace(flow,
-                             std::make_unique<baseline::FastAck>(cfg_.fastack));
+      fastack_flows_.try_emplace(flow,
+                                 std::make_unique<baseline::FastAck>(cfg_.fastack));
     }
   }
   ZHUGE_METRIC_INC("ap.optimizer_restarts");
@@ -251,7 +253,7 @@ Duration AccessPoint::instantaneous_queue_delay(const queue::Qdisc& q,
                                 std::max(rate, 1e3));
 }
 
-void AccessPoint::from_wan(Packet p) {
+void AccessPoint::from_wan(Packet&& p) {
   const TimePoint now = sim_.now();
   ZHUGE_METRIC_INC("ap.downlink_packets");
   // Station routing: a registered station's traffic goes through its own
@@ -347,10 +349,10 @@ void AccessPoint::on_wireless_delivered(const Packet& p, TimePoint now) {
   }
 }
 
-void AccessPoint::from_client(Packet p) {
+void AccessPoint::from_client(Packet&& p) {
   // FastAck: suppress the client's own pure ACKs for optimised flows.
   if (cfg_.mode == ApMode::kFastAck &&
-      fastack_flows_.count(p.flow.reversed()) > 0 &&
+      fastack_flows_.find(p.flow.reversed()) != fastack_flows_.end() &&
       baseline::FastAck::should_drop_uplink(p)) {
     ++uplink_dropped_;
     return;

@@ -17,6 +17,7 @@
 #include "queue/codel.hpp"
 #include "queue/fifo.hpp"
 #include "queue/fq_codel.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "wireless/cellular_link.hpp"
@@ -98,10 +99,10 @@ class AccessPoint {
   [[nodiscard]] std::uint64_t quiesced_drops() const { return quiesced_drops_; }
 
   /// Downlink entry: a packet arrives from the WAN (Ethernet port).
-  void from_wan(Packet p);
+  void from_wan(Packet&& p);
 
   /// Uplink entry: a packet arrives from the client over wireless.
-  void from_client(Packet p);
+  void from_client(Packet&& p);
 
   /// Interpose on the AP->sender *rewritten feedback* path: everything a
   /// ZhugeFlow emits towards the WAN (released OOB delay-token ACKs,
@@ -175,7 +176,7 @@ class AccessPoint {
     bool active = true;
   };
 
-  void send_feedback(Packet p);
+  void send_feedback(Packet&& p);
   void retire_flow_stats(const net::FlowId& flow, core::ZhugeFlow& zf);
   void on_qdisc_dequeue(const Packet& p, TimePoint now);
   void on_station_dequeue(Station& st, std::uint32_t ip, const Packet& p,
@@ -195,16 +196,19 @@ class AccessPoint {
   std::unique_ptr<wireless::WifiLink> wifi_link_;
   std::unique_ptr<wireless::CellularLink> cellular_link_;
 
-  /// Stations keyed by client IP. Ordered map: quiesce/teardown walk this
-  /// and emit packets, so iteration order must be platform-stable.
-  std::map<std::uint32_t, std::unique_ptr<Station>> stations_;
+  /// Stations keyed by client IP, looked up on every downlink packet.
+  /// Key-ordered: quiesce/teardown walk this and emit packets, so
+  /// iteration order must be platform-stable.
+  sim::FlatMap<std::uint32_t, std::unique_ptr<Station>> stations_;
   std::uint64_t quiesced_drops_ = 0;
 
-  // Ordered maps: teardown/flush/restart walk these and emit packets, so
-  // iteration order is part of the simulated outcome and must not depend
-  // on a hash function (sweep bit-identity across platforms).
-  std::map<net::FlowId, std::unique_ptr<core::ZhugeFlow>> zhuge_flows_;
-  std::map<net::FlowId, std::unique_ptr<baseline::FastAck>> fastack_flows_;
+  // Per-flow optimiser state, looked up on every packet of the flow.
+  // Key-ordered (5-tuple order): teardown/flush/restart walk these and
+  // emit packets, so iteration order is part of the simulated outcome and
+  // must not depend on a hash function (sweep bit-identity across
+  // platforms).
+  sim::FlatMap<net::FlowId, std::unique_ptr<core::ZhugeFlow>> zhuge_flows_;
+  sim::FlatMap<net::FlowId, std::unique_ptr<baseline::FastAck>> fastack_flows_;
   std::set<net::FlowId> rtc_flows_;
   std::unique_ptr<baseline::AbcRouter> abc_router_;
   stats::WindowedRate abc_dequeue_rate_;

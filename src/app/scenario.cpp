@@ -12,6 +12,7 @@
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "queue/fifo.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/substreams.hpp"
 #include "trace/synthetic.hpp"
 #include "transport/rtp_receiver.hpp"
@@ -134,9 +135,9 @@ class Scenario {
   std::uint64_t goodput_bucket_bytes_ = 0;  ///< flow 0, current 50 ms bin
   std::uint64_t invariants_at_start_ = 0;
 
-  void client_send_uplink(Packet p);    ///< client -> wireless -> AP
-  void server_receive(Packet p);        ///< feedback demux at the servers
-  void client_receive(Packet p);        ///< data demux at the client
+  void client_send_uplink(Packet&& p);    ///< client -> wireless -> AP
+  void server_receive(Packet&& p);        ///< feedback demux at the servers
+  void client_receive(Packet&& p);        ///< data demux at the client
 };
 
 void Scenario::build() {
@@ -164,22 +165,22 @@ void Scenario::build() {
   if (cfg_.faults.downlink_wan.any()) {
     inj_downlink_wan_ = std::make_unique<fault::Injector>(
         sim_, sim::Rng(cfg_.seed, sim::substreams::kFaultDownlinkWan), cfg_.faults.downlink_wan,
-        [this](Packet p) { ap_->from_wan(std::move(p)); });
+        [this](Packet&& p) { ap_->from_wan(std::move(p)); });
   }
   if (cfg_.faults.uplink_wireless.any()) {
     inj_uplink_wireless_ = std::make_unique<fault::Injector>(
         sim_, sim::Rng(cfg_.seed, sim::substreams::kFaultUplinkWireless), cfg_.faults.uplink_wireless,
-        [this](Packet p) { ap_->from_client(std::move(p)); });
+        [this](Packet&& p) { ap_->from_client(std::move(p)); });
   }
   if (cfg_.faults.downlink_wireless.any()) {
     inj_downlink_wireless_ = std::make_unique<fault::Injector>(
         sim_, sim::Rng(cfg_.seed, sim::substreams::kFaultDownlinkWireless), cfg_.faults.downlink_wireless,
-        [this](Packet p) { client_receive(std::move(p)); });
+        [this](Packet&& p) { client_receive(std::move(p)); });
   }
   if (cfg_.faults.uplink_wan.any()) {
     inj_uplink_wan_ = std::make_unique<fault::Injector>(
         sim_, sim::Rng(cfg_.seed, sim::substreams::kFaultUplinkWan), cfg_.faults.uplink_wan,
-        [this](Packet p) { server_receive(std::move(p)); });
+        [this](Packet&& p) { server_receive(std::move(p)); });
   }
   // Feedback-path fault boundaries. Both force only_feedback so enabling
   // one never perturbs data packets (or their RNG realisation). The
@@ -190,7 +191,7 @@ void Scenario::build() {
     fault::InjectorConfig fcfg = cfg_.faults.uplink_rtcp;
     fcfg.only_feedback = true;
     inj_uplink_rtcp_ = std::make_unique<fault::Injector>(
-        sim_, sim::Rng(cfg_.seed, sim::substreams::kFaultUplinkRtcp), fcfg, [this](Packet p) {
+        sim_, sim::Rng(cfg_.seed, sim::substreams::kFaultUplinkRtcp), fcfg, [this](Packet&& p) {
           if (inj_uplink_wireless_) {
             inj_uplink_wireless_->handle(std::move(p));
           } else {
@@ -204,20 +205,20 @@ void Scenario::build() {
   up_cfg.rate_bps = cfg_.wan_rate_bps;
   up_cfg.prop_delay = cfg_.wan_one_way;
   wan_up_ = std::make_unique<net::PointToPointLink>(
-      sim_, up_cfg, [this](Packet p) { server_receive(std::move(p)); });
+      sim_, up_cfg, [this](Packet&& p) { server_receive(std::move(p)); });
   if (inj_uplink_wan_) wan_up_->set_fault_hook(inj_uplink_wan_->as_handler());
 
   // The AP itself.
   ap_ = std::make_unique<AccessPoint>(
       sim_, *rng_, *down_channel_, *medium_, cfg_.ap,
-      [this](Packet p) {
+      [this](Packet&& p) {
         if (inj_downlink_wireless_) {
           inj_downlink_wireless_->handle(std::move(p));
         } else {
           client_receive(std::move(p));
         }
       },
-      [this](Packet p) { wan_up_->send(std::move(p)); });
+      [this](Packet&& p) { wan_up_->send(std::move(p)); });
 
   // AP-rewritten-feedback fault boundary: everything the optimiser emits
   // towards the WAN (released OOB delay-token ACKs, AP-built TWCC,
@@ -229,7 +230,7 @@ void Scenario::build() {
     fcfg.only_feedback = true;
     inj_ap_feedback_ = std::make_unique<fault::Injector>(
         sim_, sim::Rng(cfg_.seed, sim::substreams::kFaultApFeedback), fcfg,
-        [this](Packet p) { wan_up_->send(std::move(p)); });
+        [this](Packet&& p) { wan_up_->send(std::move(p)); });
     ap_->set_feedback_fault_hook(inj_ap_feedback_->as_handler());
   }
 
@@ -238,11 +239,11 @@ void Scenario::build() {
   down_cfg.rate_bps = cfg_.wan_rate_bps;
   down_cfg.prop_delay = cfg_.wan_one_way;
   wan_down_ = std::make_unique<net::PointToPointLink>(
-      sim_, down_cfg, [this](Packet p) { ap_->from_wan(std::move(p)); });
+      sim_, down_cfg, [this](Packet&& p) { ap_->from_wan(std::move(p)); });
   if (inj_downlink_wan_) wan_down_->set_fault_hook(inj_downlink_wan_->as_handler());
 
   // Client uplink: small FIFO through the shared wireless medium.
-  const PacketHandler uplink_delivery = [this](Packet p) {
+  const PacketHandler uplink_delivery = [this](Packet&& p) {
     if (inj_uplink_rtcp_) {
       inj_uplink_rtcp_->handle(std::move(p));  // chains into the next hop
     } else if (inj_uplink_wireless_) {
@@ -358,19 +359,19 @@ void Scenario::build_rtc_flow(std::size_t index) {
     scfg.rate_controller = cfg_.rtp_cca;
     f->rtp_sender = std::make_unique<transport::RtpSender>(
         sim_, *rng_, f->flow, scfg, uids_,
-        [this](Packet p) { wan_down_->send(std::move(p)); });
+        [this](Packet&& p) { wan_down_->send(std::move(p)); });
 
     transport::RtpReceiver::Config rcfg;
     rcfg.ssrc = scfg.ssrc;
     f->rtp_receiver = std::make_unique<transport::RtpReceiver>(
-        sim_, rcfg, uids_, [this](Packet p) { client_send_uplink(std::move(p)); },
+        sim_, rcfg, uids_, [this](Packet&& p) { client_send_uplink(std::move(p)); },
         f->frame_stats);
     f->rtp_sender->start();
   } else {
     transport::TcpSender::Config scfg;
     f->tcp_sender = std::make_unique<transport::TcpSender>(
         sim_, f->flow, make_tcp_cca(cfg_.tcp_cca), scfg, uids_,
-        [this](Packet p) { wan_down_->send(std::move(p)); });
+        [this](Packet&& p) { wan_down_->send(std::move(p)); });
     // For TCP the per-packet network RTT is what a server-side capture
     // measures: data departure to ACK arrival. Zhuge's held ACKs shift
     // this curve forward (paper Fig. 10) without double-counting.
@@ -388,7 +389,7 @@ void Scenario::build_rtc_flow(std::size_t index) {
 
     transport::TcpReceiver::Config rcfg;
     f->tcp_receiver = std::make_unique<transport::TcpReceiver>(
-        sim_, rcfg, uids_, [this](Packet p) { client_send_uplink(std::move(p)); },
+        sim_, rcfg, uids_, [this](Packet&& p) { client_send_uplink(std::move(p)); },
         [this, fp](std::uint32_t frame_id, TimePoint capture, TimePoint now) {
           fp->frame_stats.on_frame_decoded(capture, now);
           if (obs::attrib_enabled()) {
@@ -451,10 +452,10 @@ void Scenario::build_bulk_flow(std::size_t index) {
   transport::TcpSender::Config scfg;
   b->sender = std::make_unique<transport::TcpSender>(
       sim_, b->flow, std::make_unique<cca::Cubic>(), scfg, uids_,
-      [this](Packet p) { wan_down_->send(std::move(p)); });
+      [this](Packet&& p) { wan_down_->send(std::move(p)); });
   transport::TcpReceiver::Config rcfg;
   b->receiver = std::make_unique<transport::TcpReceiver>(
-      sim_, rcfg, uids_, [this](Packet p) { client_send_uplink(std::move(p)); },
+      sim_, rcfg, uids_, [this](Packet&& p) { client_send_uplink(std::move(p)); },
       nullptr);
   bulk_flows_.push_back(std::move(b));
 }
@@ -495,7 +496,7 @@ void Scenario::sample_series() {
   sim_.schedule_after(Duration::millis(50), [this] { sample_series(); });
 }
 
-void Scenario::client_send_uplink(Packet p) {
+void Scenario::client_send_uplink(Packet&& p) {
   if (uplink_wifi_ != nullptr) {
     uplink_wifi_->offer(std::move(p));
   } else {
@@ -503,7 +504,7 @@ void Scenario::client_send_uplink(Packet p) {
   }
 }
 
-void Scenario::server_receive(Packet p) {
+void Scenario::server_receive(Packet&& p) {
   const TimePoint now = sim_.now();
   // Demux to the matching sender; update the uplink OWD estimate used by
   // the per-packet network-RTT metric.
@@ -567,7 +568,7 @@ void Scenario::handle_delivery_metrics(const Packet& p, RtcFlow& f) {
   }
 }
 
-void Scenario::client_receive(Packet p) {
+void Scenario::client_receive(Packet&& p) {
   for (auto& f : rtc_flows_) {
     if (p.flow == f->flow) {
       handle_delivery_metrics(p, *f);
@@ -619,8 +620,10 @@ ScenarioResult Scenario::run() {
     fr.downlink_owd_ms = std::move(f->downlink_owd_ms);
     fr.frame_delay_ms = f->frame_stats.frame_delays_ms();
     fr.frame_rate_fps = f->frame_stats.frame_rates(warm_sec, end_sec);
-    fr.goodput_bps =
-        static_cast<double>(f->app_bytes_delivered) * 8.0 / measured_secs;
+    // A run no longer than its warm-up measured nothing (as finalize_flow).
+    fr.goodput_bps = measured_secs > 0.0
+                         ? static_cast<double>(f->app_bytes_delivered) * 8.0 / measured_secs
+                         : 0.0;
     fr.frames_decoded = f->frame_stats.frames_decoded();
     if (f->rtp_sender) {
       fr.frames_sent = f->rtp_sender->frames_sent();
@@ -703,9 +706,9 @@ class MultiScenario {
   void finalize_flow(MFlow& f);
   void sample_active();
   void set_station_mcs(int station, int mcs);
-  void client_send_uplink(int station, Packet p);
-  void server_receive(Packet p);
-  void client_receive(Packet p);
+  void client_send_uplink(int station, Packet&& p);
+  void server_receive(Packet&& p);
+  void client_receive(Packet&& p);
   void handle_delivery_metrics(const Packet& p, MFlow& f);
 
   [[nodiscard]] static std::uint32_t station_ip(int station) {
@@ -748,7 +751,8 @@ class MultiScenario {
   /// Live flows by schedule index; ordered so end-of-run finalisation walks
   /// in index order (part of the simulated outcome).
   std::map<std::uint32_t, std::unique_ptr<MFlow>> active_;
-  std::map<FlowId, std::uint32_t> by_flow_;  ///< downlink 5-tuple -> index
+  /// Live flows by downlink 5-tuple, read on every delivered packet.
+  sim::FlatMap<FlowId, MFlow*> by_flow_;
 
   MultiStationResult result_;
   TimePoint warmup_end_;
@@ -775,7 +779,7 @@ void MultiScenario::build() {
   wan_cfg.rate_bps = spec_.wan_rate_mbps * 1e6;
   wan_cfg.prop_delay = Duration::from_seconds(spec_.wan_one_way_ms / 1e3);
   wan_up_ = std::make_unique<net::PointToPointLink>(
-      sim_, wan_cfg, [this](Packet p) { server_receive(std::move(p)); });
+      sim_, wan_cfg, [this](Packet&& p) { server_receive(std::move(p)); });
 
   // Client->AP RTCP fault boundary, shared by every station uplink. Built
   // before the AP/stations so their delivery handlers can chain into it.
@@ -784,7 +788,7 @@ void MultiScenario::build() {
     fcfg.only_feedback = true;
     inj_uplink_rtcp_ = std::make_unique<fault::Injector>(
         sim_, sim::Rng(seed_, sim::substreams::kFaultUplinkRtcp), fcfg,
-        [this](Packet p) { ap_->from_client(std::move(p)); });
+        [this](Packet&& p) { ap_->from_client(std::move(p)); });
   }
 
   AccessPoint::Config apcfg;
@@ -794,8 +798,8 @@ void MultiScenario::build() {
   apcfg.zhuge.watchdog.initial_level = spec_.zhuge_initial_ladder;
   ap_ = std::make_unique<AccessPoint>(
       sim_, *rng_, *default_channel_, *medium_, apcfg,
-      [this](Packet p) { client_receive(std::move(p)); },
-      [this](Packet p) { wan_up_->send(std::move(p)); });
+      [this](Packet&& p) { client_receive(std::move(p)); },
+      [this](Packet&& p) { wan_up_->send(std::move(p)); });
 
   // AP-rewritten-feedback fault boundary (same semantics as Scenario's):
   // the optimiser's emitted feedback detours through the injector before
@@ -805,13 +809,13 @@ void MultiScenario::build() {
     fcfg.only_feedback = true;
     inj_ap_feedback_ = std::make_unique<fault::Injector>(
         sim_, sim::Rng(seed_, sim::substreams::kFaultApFeedback), fcfg,
-        [this](Packet p) { wan_up_->send(std::move(p)); });
+        [this](Packet&& p) { wan_up_->send(std::move(p)); });
     ap_->set_feedback_fault_hook(inj_ap_feedback_->as_handler());
   }
 
   // Servers -> AP wired downlink.
   wan_down_ = std::make_unique<net::PointToPointLink>(
-      sim_, wan_cfg, [this](Packet p) { ap_->from_wan(std::move(p)); });
+      sim_, wan_cfg, [this](Packet&& p) { ap_->from_wan(std::move(p)); });
 
   for (int i = 0; i < n_stations; ++i) build_station(i);
 
@@ -879,7 +883,7 @@ void MultiScenario::build_station(int index) {
   ul_cfg.max_agg_packets = 8;  // feedback packets are small and few
   up.link = std::make_unique<wireless::WifiLink>(
       sim_, *rng_, *up_channels_.back(), *medium_, *up.qdisc, ul_cfg,
-      [this](Packet p) {
+      [this](Packet&& p) {
         if (inj_uplink_rtcp_) {
           inj_uplink_rtcp_->handle(std::move(p));
         } else {
@@ -970,12 +974,12 @@ void MultiScenario::arrive(const FlowEvent& ev) {
     scfg.gcc.max_rate_bps = video.max_bitrate_bps;
     f->rtp_sender = std::make_unique<transport::RtpSender>(
         sim_, *rng_, f->flow, scfg, uids_,
-        [this](Packet p) { wan_down_->send(std::move(p)); });
+        [this](Packet&& p) { wan_down_->send(std::move(p)); });
     transport::RtpReceiver::Config rcfg;
     rcfg.ssrc = scfg.ssrc;
     f->rtp_receiver = std::make_unique<transport::RtpReceiver>(
         sim_, rcfg, uids_,
-        [this, station](Packet p) { client_send_uplink(station, std::move(p)); },
+        [this, station](Packet&& p) { client_send_uplink(station, std::move(p)); },
         f->frame_stats);
     f->rtp_sender->start();
   } else {
@@ -988,7 +992,7 @@ void MultiScenario::arrive(const FlowEvent& ev) {
     }
     f->tcp_sender = std::make_unique<transport::TcpSender>(
         sim_, f->flow, std::move(cca), scfg, uids_,
-        [this](Packet p) { wan_down_->send(std::move(p)); });
+        [this](Packet&& p) { wan_down_->send(std::move(p)); });
     f->tcp_sender->set_rtt_observer([this, fp](Duration rtt, TimePoint now) {
       if (now >= warmup_end_) {
         fp->network_rtt_ms.add(rtt.to_millis());
@@ -999,7 +1003,7 @@ void MultiScenario::arrive(const FlowEvent& ev) {
     transport::TcpReceiver::Config rcfg;
     f->tcp_receiver = std::make_unique<transport::TcpReceiver>(
         sim_, rcfg, uids_,
-        [this, station](Packet p) { client_send_uplink(station, std::move(p)); },
+        [this, station](Packet&& p) { client_send_uplink(station, std::move(p)); },
         [fp](std::uint32_t frame_id, TimePoint capture, TimePoint now) {
           fp->frame_stats.on_frame_decoded(capture, now);
           if (obs::attrib_enabled()) {
@@ -1042,7 +1046,9 @@ void MultiScenario::arrive(const FlowEvent& ev) {
                                      [t = FrameTick{this, fp}] { t(); });
   }
 
-  by_flow_[f->flow] = ev.index;
+  if (const auto [it, inserted] = by_flow_.try_emplace(f->flow, fp); !inserted) {
+    it->second = fp;
+  }
   active_[ev.index] = std::move(f);
   ++result_.arrivals;
   ZHUGE_METRIC_INC("mstation.arrivals");
@@ -1090,17 +1096,17 @@ void MultiScenario::sample_active() {
   sim_.schedule_after(Duration::millis(100), [this] { sample_active(); });
 }
 
-void MultiScenario::client_send_uplink(int station, Packet p) {
+void MultiScenario::client_send_uplink(int station, Packet&& p) {
   uplinks_[static_cast<std::size_t>(station)].link->offer(std::move(p));
 }
 
-void MultiScenario::server_receive(Packet p) {
+void MultiScenario::server_receive(Packet&& p) {
   const auto it = by_flow_.find(p.flow.reversed());
   if (it == by_flow_.end()) {
     ++result_.late_packets;
     return;
   }
-  MFlow& f = *active_.at(it->second);
+  MFlow& f = *it->second;
   const double owd = (sim_.now() - p.sent_time).to_millis();
   if (owd > 0 && owd < 10e3) f.last_uplink_owd_ms = owd;
   if (f.rtp_sender && p.is_rtcp()) {
@@ -1137,13 +1143,13 @@ void MultiScenario::handle_delivery_metrics(const Packet& p, MFlow& f) {
   }
 }
 
-void MultiScenario::client_receive(Packet p) {
+void MultiScenario::client_receive(Packet&& p) {
   const auto it = by_flow_.find(p.flow);
   if (it == by_flow_.end()) {
     ++result_.late_packets;
     return;
   }
-  MFlow& f = *active_.at(it->second);
+  MFlow& f = *it->second;
   handle_delivery_metrics(p, f);
   if (f.rtp_receiver && p.is_rtp()) {
     f.rtp_receiver->on_rtp(p);

@@ -37,18 +37,19 @@ class PointToPointLink {
       : sim_(simulator), cfg_(cfg), sink_(std::move(sink)) {}
 
   /// Put a packet on the wire. The link never drops.
-  void send(Packet p) {
+  void send(Packet&& p) {
     const Duration tx = Duration::from_seconds(
         static_cast<double>(p.size_bytes) * 8.0 / cfg_.rate_bps);
     busy_until_ = std::max(sim_.now(), busy_until_) + tx;
     const sim::Pool<Packet>::Index idx = pool_.put(std::move(p));
     sim_.schedule_at(busy_until_ + cfg_.prop_delay, [this, idx] {
-      Packet pkt = pool_.take(idx);
+      Packet& pkt = pool_.at(idx);  // handed on in place, freed after
       if (fault_hook_) {
         fault_hook_(std::move(pkt));
       } else if (sink_) {
         sink_(std::move(pkt));
       }
+      pool_.release(idx);
     });
   }
 

@@ -148,8 +148,11 @@ struct Packet {
 };
 
 /// Anything that consumes packets. std::function keeps wiring flexible;
-/// components hand out handlers bound to member functions.
-using PacketHandler = std::function<void(Packet)>;
+/// components hand out handlers bound to member functions. Packets travel
+/// by rvalue: every hop takes ownership without a move-construction of
+/// its own, and a caller that means to keep its packet must say so with
+/// an explicit copy (`net::Packet(p)`).
+using PacketHandler = std::function<void(Packet&&)>;
 
 /// Monotonically increasing packet uid source (one per simulation).
 class PacketUidSource {

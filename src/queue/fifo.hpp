@@ -17,7 +17,7 @@ class DropTailFifo : public Qdisc {
   explicit DropTailFifo(std::int64_t limit_bytes)
       : Qdisc("queue.fifo"), limit_bytes_(limit_bytes) {}
 
-  bool enqueue(Packet p, TimePoint now) override {
+  bool enqueue(Packet&& p, TimePoint now) override {
     if (limit_bytes_ >= 0 && bytes_ + p.size_bytes > limit_bytes_) {
       ++drops_;
       obs_dropped(p, now, "tail_drop");
@@ -31,13 +31,14 @@ class DropTailFifo : public Qdisc {
   }
 
   std::optional<Packet> dequeue(TimePoint now) override {
-    if (queue_.empty()) return std::nullopt;
-    Packet p = std::move(queue_.front_v());
+    std::optional<Packet> p;  // the one return value: built in place
+    if (queue_.empty()) return p;
+    p.emplace(std::move(queue_.front_v()));
     const TimePoint enq{queue_.front_t()};
     queue_.pop_front();
-    bytes_ -= p.size_bytes;
+    bytes_ -= p->size_bytes;
     head_since_ = queue_.empty() ? std::optional<TimePoint>{} : now;
-    obs_dequeued(p, now, now - enq);
+    obs_dequeued(*p, now, now - enq);
     return p;
   }
 

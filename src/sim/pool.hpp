@@ -6,10 +6,9 @@
 // (an in-flight Packet, a paced frame) across one or more timer hops used
 // to move the whole object into each closure — a ~200-byte memcpy per hop
 // for packets. A Pool lets them park the payload once and thread a 4-byte
-// index through the closures instead: the event nodes stay tiny, the
-// payload is touched exactly twice (move in, move out), and freed slots
-// recycle their heap capacity (a Packet slot that once held a TWCC vector
-// keeps that vector's buffer for the next tenant).
+// index through the closures instead: the event nodes stay tiny, and the
+// payload is moved in once, then handed on in place (a consumer takes
+// `std::move(at(idx))` by rvalue and the slot is released after it).
 //
 // Same recycling idiom as the Simulator's callback-node pool: deque-backed
 // (addresses stable under growth) with a LIFO free list, so the pool grows
@@ -40,15 +39,8 @@ class Pool {
   [[nodiscard]] T& at(Index idx) { return slots_[idx].value; }
   [[nodiscard]] const T& at(Index idx) const { return slots_[idx].value; }
 
-  /// Move the object out and free the slot. The slot keeps the moved-from
-  /// shell (and any heap capacity it still owns) for reuse.
-  [[nodiscard]] T take(Index idx) {
-    T out = std::move(slots_[idx].value);
-    release(idx);
-    return out;
-  }
-
-  /// Free a slot without taking the value (e.g. a dropped packet).
+  /// Free a slot. What its value still holds (a moved-from shell, or a
+  /// packet its consumer only read) stays until put() overwrites it.
   void release(Index idx) {
     slots_[idx].next_free = free_head_;
     free_head_ = idx;

@@ -31,13 +31,8 @@ class SoaRing {
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
 
-  void push_back(std::int64_t t, V v) {
-    if (size_ == capacity()) grow();
-    const std::size_t i = (head_ + size_) & mask_;
-    t_[i] = t;
-    v_[i] = std::move(v);
-    ++size_;
-  }
+  void push_back(std::int64_t t, const V& v) { append(t) = v; }
+  void push_back(std::int64_t t, V&& v) { append(t) = std::move(v); }
 
   void pop_front() {
     head_ = (head_ + 1) & mask_;
@@ -61,6 +56,15 @@ class SoaRing {
 
  private:
   [[nodiscard]] std::size_t capacity() const { return t_.size(); }
+
+  /// Claim the back slot under key `t`; the caller assigns its value.
+  V& append(std::int64_t t) {
+    if (size_ == capacity()) grow();
+    const std::size_t i = (head_ + size_) & mask_;
+    t_[i] = t;
+    ++size_;
+    return v_[i];
+  }
 
   void grow() {
     const std::size_t cap = capacity() == 0 ? 16 : capacity() * 2;

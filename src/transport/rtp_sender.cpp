@@ -85,7 +85,7 @@ void RtpSender::on_frame_tick() {
       sim_.schedule_after(encoder_.frame_interval(), [this] { on_frame_tick(); });
 }
 
-void RtpSender::send_packet(Packet p, Duration offset) {
+void RtpSender::send_packet(Packet&& p, Duration offset) {
   // Record send history at the *scheduled* departure time.
   const TimePoint departure = sim_.now() + offset;
   ++rtp_sent_unwrapped_;
@@ -110,9 +110,10 @@ void RtpSender::send_packet(Packet p, Duration offset) {
   } else {
     const sim::Pool<Packet>::Index idx = paced_pool_.put(std::move(p));
     pacing_timers_.push_back(sim_.schedule_after(offset, [this, idx] {
-      Packet pkt = paced_pool_.take(idx);
+      Packet& pkt = paced_pool_.at(idx);  // handed on in place, freed after
       pkt.sent_time = sim_.now();
       out_(std::move(pkt));
+      paced_pool_.release(idx);
     }));
   }
 }

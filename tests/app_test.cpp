@@ -1,9 +1,15 @@
 // End-to-end integration tests for the scenario harness: smoke coverage
 // of every protocol x AP-mode x qdisc combination, determinism, and the
-// headline Zhuge behaviour on a controlled bandwidth drop.
+// headline Zhuge behaviour on a controlled bandwidth drop; plus the
+// AccessPoint's per-flow table across registration, unregistration and
+// optimiser restart.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "app/access_point.hpp"
 #include "app/scenario.hpp"
 #include "trace/synthetic.hpp"
 
@@ -219,6 +225,136 @@ TEST(Scenario, ScpAndMcsScenariosRun) {
   cfg.mcs_random_switch = true;
   const auto r = run_scenario(cfg);
   EXPECT_GT(r.primary().frames_decoded, 250u);
+}
+
+TEST(Scenario, RunNoLongerThanWarmupReportsZeroGoodput) {
+  // Nothing is measured before the warm-up ends: goodput over an empty
+  // window is 0, not 0/0.
+  const auto tr = steady_trace();
+  ScenarioConfig cfg = base_config(tr);
+  cfg.duration = 3_s;
+  const auto r = run_scenario(cfg);
+  EXPECT_EQ(r.primary().goodput_bps, 0.0);
+  EXPECT_EQ(r.primary().network_rtt_ms.count(), 0u);
+}
+
+/// An AccessPoint in Zhuge mode with three stations, driven by hand (the
+/// simulator never runs, so every held ACK stays held until flushed).
+struct ApTableFixture {
+  sim::Simulator sim;
+  sim::Rng rng{3, 11};
+  wireless::Channel channel{7};
+  wireless::Channel station_channel{7};
+  wireless::Medium medium{sim, rng, wireless::Medium::Config{}};
+  std::vector<Packet> to_server;
+  AccessPoint ap;
+  std::uint64_t next_uid = 1;
+
+  ApTableFixture()
+      : ap(sim, rng, channel, medium, zhuge_config(), [](Packet&&) {},
+           [this](Packet&& p) { to_server.push_back(std::move(p)); }) {
+    for (std::uint32_t ip : {100u, 101u, 102u}) {
+      ap.register_station(ip, station_channel, AccessPoint::StationConfig{});
+    }
+  }
+
+  static AccessPoint::Config zhuge_config() {
+    AccessPoint::Config cfg;
+    cfg.mode = ApMode::kZhuge;
+    return cfg;
+  }
+
+  /// One downlink TCP segment (creates the flow's OOB updater), then
+  /// `acks` client ACKs, which the flow holds.
+  void data_then_acks(const net::FlowId& flow, int acks) {
+    Packet data;
+    data.uid = next_uid++;
+    data.flow = flow;
+    data.size_bytes = 1200;
+    net::TcpHeader h;
+    h.seq = 0;
+    h.end_seq = 1148;
+    data.header = h;
+    ap.from_wan(std::move(data));
+    for (int i = 0; i < acks; ++i) {
+      Packet ack;
+      ack.uid = next_uid++;
+      ack.flow = flow.reversed();
+      ack.size_bytes = 60;
+      net::TcpHeader a;
+      a.is_ack = true;
+      a.ack = 1148;
+      ack.header = a;
+      ap.from_client(std::move(ack));
+    }
+  }
+};
+
+net::FlowId tcp_flow(std::uint32_t station_ip, std::uint16_t dst_port) {
+  return net::FlowId{1, station_ip, 5000, dst_port, 6};
+}
+
+TEST(AccessPoint, FlowTableKeepsLookupsAndOrderAcrossUnregisterAndRestart) {
+  ApTableFixture fx;
+  AccessPoint& ap = fx.ap;
+  // Registered out of 5-tuple order across three stations.
+  const std::vector<net::FlowId> flows = {
+      tcp_flow(102, 6003), tcp_flow(100, 6007), tcp_flow(101, 6001),
+      tcp_flow(100, 6002), tcp_flow(102, 6000), tcp_flow(101, 6005)};
+  const std::vector<net::FlowId> never = {
+      tcp_flow(100, 6000), tcp_flow(101, 6003), tcp_flow(103, 6001),
+      tcp_flow(102, 6003).reversed(), tcp_flow(100, 6007).reversed()};
+  const auto expect_table = [&](const std::vector<net::FlowId>& live,
+                                const std::vector<net::FlowId>& gone) {
+    for (const auto& f : live) EXPECT_NE(ap.zhuge_flow(f), nullptr);
+    for (const auto& f : gone) EXPECT_EQ(ap.zhuge_flow(f), nullptr);
+    for (const auto& f : never) EXPECT_EQ(ap.zhuge_flow(f), nullptr);
+  };
+
+  std::vector<net::FlowId> live;
+  for (const auto& f : flows) {
+    ap.register_rtc_flow(f);
+    live.push_back(f);
+    expect_table(live, {});
+    EXPECT_EQ(ap.pending_feedback(), 0u);
+  }
+
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    fx.data_then_acks(flows[i], 2);
+    EXPECT_EQ(ap.zhuge_flow(flows[i])->pending_feedback(), 2u);
+    EXPECT_EQ(ap.pending_feedback(), 2 * (i + 1));
+  }
+  EXPECT_TRUE(fx.to_server.empty());
+
+  // Unregister the flow in the middle of the 5-tuple order: its two ACKs
+  // are flushed, every other flow keeps its state and its holds.
+  std::vector<net::FlowId> sorted = flows;
+  std::sort(sorted.begin(), sorted.end());
+  const net::FlowId victim = sorted[sorted.size() / 2];
+  EXPECT_EQ(ap.unregister_rtc_flow(victim), 2u);
+  live.erase(std::find(live.begin(), live.end(), victim));
+  expect_table(live, {victim});
+  EXPECT_EQ(ap.pending_feedback(), 2 * live.size());
+  ASSERT_EQ(fx.to_server.size(), 2u);
+  for (const Packet& p : fx.to_server) EXPECT_EQ(p.flow, victim.reversed());
+  EXPECT_EQ(ap.unregister_rtc_flow(victim), 0u);  // unknown now: a no-op
+
+  // Restart: every remaining flow is flushed in 5-tuple order, then
+  // rebuilt fresh for the still-registered flows.
+  fx.to_server.clear();
+  ap.restart_optimizer();
+  expect_table(live, {victim});
+  EXPECT_EQ(ap.pending_feedback(), 0u);
+  for (const auto& f : live) EXPECT_EQ(ap.zhuge_flow(f)->pending_feedback(), 0u);
+  std::vector<net::FlowId> released;
+  for (const Packet& p : fx.to_server) released.push_back(p.flow.reversed());
+  std::vector<net::FlowId> want;
+  for (const auto& f : sorted) {
+    if (f != victim) want.insert(want.end(), 2, f);
+  }
+  EXPECT_EQ(released, want);
+  EXPECT_EQ(ap.robustness().optimizer_restarts, 1u);
+  EXPECT_EQ(ap.robustness().flushed_acks, 2 * flows.size());
 }
 
 }  // namespace

@@ -56,7 +56,7 @@ TEST(Injector, BlackoutDropsOnlyInsideWindow) {
   InjectorConfig cfg;
   cfg.blackouts = {Window{at(10), at(20)}};
   Injector inj(sim, sim::Rng(1, 7), cfg,
-               [&](Packet p) { uids.push_back(p.uid); });
+               [&](Packet&& p) { uids.push_back(p.uid); });
   for (std::int64_t t : {5, 15, 25}) {
     sim.schedule_at(at(t), [&inj, t] { inj.handle(make_packet(std::uint64_t(t))); });
   }
@@ -73,7 +73,7 @@ TEST(Injector, ActiveWindowGatesProbabilisticLoss) {
   cfg.loss_prob = 1.0;  // certain loss, but only while active
   cfg.active = {Window{at(10), at(20)}};
   Injector inj(sim, sim::Rng(1, 7), cfg,
-               [&](Packet p) { uids.push_back(p.uid); });
+               [&](Packet&& p) { uids.push_back(p.uid); });
   for (std::int64_t t : {5, 15, 25}) {
     sim.schedule_at(at(t), [&inj, t] { inj.handle(make_packet(std::uint64_t(t))); });
   }
@@ -82,21 +82,100 @@ TEST(Injector, ActiveWindowGatesProbabilisticLoss) {
   EXPECT_EQ(inj.random_drops(), 1u);
 }
 
+/// A packet with every field set: a header (an RTP one, or an RTCP
+/// TWCC report that owns heap memory), timestamps and span stamps.
+Packet make_full_packet(std::uint64_t uid) {
+  Packet p = make_packet(uid, 900 + static_cast<std::uint32_t>(uid));
+  p.flow = net::FlowId{1, 100, 5000, static_cast<std::uint16_t>(6000 + uid), 17};
+  if (uid % 2 == 0) {
+    net::RtpHeader h;
+    h.ssrc = 7;
+    h.seq = static_cast<std::uint16_t>(40 + uid);
+    h.twcc_seq = static_cast<std::uint16_t>(90 + uid);
+    h.frame_id = static_cast<std::uint32_t>(uid / 3);
+    h.marker = uid % 4 == 0;
+    h.capture_time = at(std::int64_t(uid) - 20);
+    p.header = h;
+  } else {
+    net::TwccFeedback fb;
+    fb.ssrc = 7;
+    for (std::uint16_t k = 0; k < 5; ++k) {
+      fb.entries.push_back({static_cast<std::uint16_t>(uid * 10 + k), at(std::int64_t(k))});
+    }
+    p.header = net::RtcpHeader{fb};
+  }
+  p.sent_time = at(std::int64_t(uid) - 3);
+  p.ap_enqueue_time = at(std::int64_t(uid) - 2);
+  p.head_time = at(std::int64_t(uid) - 1);
+  p.delivered_time = at(std::int64_t(uid));
+  p.predicted_delay_ms = 1.5 * static_cast<double>(uid);
+  p.span.paced_ns = 11 + std::int64_t(uid);
+  p.span.ap_dequeue_ns = 22 + std::int64_t(uid);
+  p.span.first_air_ns = 33 + std::int64_t(uid);
+  p.span.air_retries = static_cast<std::uint32_t>(uid % 3);
+  return p;
+}
+
+/// Field-by-field equality of two packets, header payload included.
+void expect_same_packet(const Packet& a, const Packet& b) {
+  EXPECT_EQ(a.uid, b.uid);
+  EXPECT_EQ(a.flow, b.flow);
+  EXPECT_EQ(a.size_bytes, b.size_bytes);
+  ASSERT_EQ(a.header.index(), b.header.index());
+  if (a.is_rtp()) {
+    const net::RtpHeader& x = a.rtp();
+    const net::RtpHeader& y = b.rtp();
+    EXPECT_EQ(x.ssrc, y.ssrc);
+    EXPECT_EQ(x.seq, y.seq);
+    EXPECT_EQ(x.twcc_seq, y.twcc_seq);
+    EXPECT_EQ(x.frame_id, y.frame_id);
+    EXPECT_EQ(x.marker, y.marker);
+    EXPECT_EQ(x.capture_time, y.capture_time);
+  } else {
+    const auto& x = std::get<net::TwccFeedback>(a.rtcp().payload);
+    const auto& y = std::get<net::TwccFeedback>(b.rtcp().payload);
+    EXPECT_EQ(x.ssrc, y.ssrc);
+    ASSERT_EQ(x.entries.size(), y.entries.size());
+    for (std::size_t k = 0; k < x.entries.size(); ++k) {
+      EXPECT_EQ(x.entries[k].twcc_seq, y.entries[k].twcc_seq);
+      EXPECT_EQ(x.entries[k].recv_time, y.entries[k].recv_time);
+    }
+  }
+  EXPECT_EQ(a.sent_time, b.sent_time);
+  EXPECT_EQ(a.ap_enqueue_time, b.ap_enqueue_time);
+  EXPECT_EQ(a.head_time, b.head_time);
+  EXPECT_EQ(a.delivered_time, b.delivered_time);
+  EXPECT_EQ(a.predicted_delay_ms, b.predicted_delay_ms);
+  EXPECT_EQ(a.span.paced_ns, b.span.paced_ns);
+  EXPECT_EQ(a.span.ap_dequeue_ns, b.span.ap_dequeue_ns);
+  EXPECT_EQ(a.span.first_air_ns, b.span.first_air_ns);
+  EXPECT_EQ(a.span.air_retries, b.span.air_retries);
+}
+
 TEST(Injector, DuplicationDeliversTwice) {
+  // The duplicate is the Injector's one explicit copy of a packet: it
+  // must be field-identical to the original, which is then moved on.
   Simulator sim;
-  std::vector<std::uint64_t> uids;
+  std::vector<Packet> out;
   InjectorConfig cfg;
   cfg.dup_prob = 1.0;
   Injector inj(sim, sim::Rng(1, 7), cfg,
-               [&](Packet p) { uids.push_back(p.uid); });
+               [&](Packet&& p) { out.push_back(std::move(p)); });
   for (std::uint64_t i = 0; i < 10; ++i) {
-    sim.schedule_at(at(std::int64_t(i)), [&inj, i] { inj.handle(make_packet(i)); });
+    sim.schedule_at(at(std::int64_t(i) + 100),
+                    [&inj, i] { inj.handle(make_full_packet(i)); });
   }
   sim.run();
-  EXPECT_EQ(uids.size(), 20u);
+  ASSERT_EQ(out.size(), 20u);
   EXPECT_EQ(inj.duplicated(), 10u);
   for (std::uint64_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(std::count(uids.begin(), uids.end(), i), 2);
+    SCOPED_TRACE(i);
+    // No extra delay configured: the duplicate and the original go out
+    // back to back, duplicate first.
+    const Packet& dup = out[2 * i];
+    const Packet& orig = out[2 * i + 1];
+    expect_same_packet(dup, orig);
+    expect_same_packet(orig, make_full_packet(i));
   }
 }
 
@@ -107,7 +186,7 @@ TEST(Injector, ReorderingProducesInversions) {
   cfg.reorder_prob = 0.3;
   cfg.reorder_delay = 5_ms;
   Injector inj(sim, sim::Rng(1, 7), cfg,
-               [&](Packet p) { uids.push_back(p.uid); });
+               [&](Packet&& p) { uids.push_back(p.uid); });
   // 100 packets 1 ms apart: a reordered packet lands 5 ms late, so up to
   // five successors overtake it.
   for (std::uint64_t i = 0; i < 100; ++i) {
@@ -130,7 +209,7 @@ TEST(Injector, GilbertElliottStickyBadStateDropsEverything) {
   InjectorConfig cfg;
   cfg.burst = GilbertElliott{/*p_enter_bad=*/1.0, /*p_exit_bad=*/0.0,
                              /*loss_good=*/0.0, /*loss_bad=*/1.0};
-  Injector inj(sim, sim::Rng(1, 7), cfg, [&](Packet) { ++delivered; });
+  Injector inj(sim, sim::Rng(1, 7), cfg, [&](Packet&&) { ++delivered; });
   for (std::uint64_t i = 0; i < 50; ++i) {
     sim.schedule_at(at(std::int64_t(i)), [&inj, i] { inj.handle(make_packet(i)); });
   }
@@ -147,7 +226,7 @@ TEST(Injector, FadeDelaysWithoutDropping) {
   cfg.fade_delay = 60_ms;
   cfg.fades = {Window{at(10), at(20)}};
   Injector inj(sim, sim::Rng(1, 7), cfg,
-               [&](Packet) { deliveries.push_back(sim.now()); });
+               [&](Packet&&) { deliveries.push_back(sim.now()); });
   sim.schedule_at(at(5), [&] { inj.handle(make_packet(0)); });
   sim.schedule_at(at(15), [&] { inj.handle(make_packet(1)); });
   sim.run();
@@ -166,7 +245,7 @@ TEST(Injector, SameSeedSameOutcome) {
     cfg.reorder_prob = 0.15;
     cfg.burst = GilbertElliott{0.05, 0.3, 0.0, 0.8};
     Injector inj(sim, sim::Rng(seed, 7), cfg,
-                 [&](Packet p) { uids.push_back(p.uid); });
+                 [&](Packet&& p) { uids.push_back(p.uid); });
     for (std::uint64_t i = 0; i < 300; ++i) {
       sim.schedule_at(at(std::int64_t(i)), [&inj, i] { inj.handle(make_packet(i)); });
     }
@@ -180,9 +259,9 @@ TEST(Injector, SameSeedSameOutcome) {
 TEST(PointToPointLink, FaultHookInterposesOnDelivery) {
   Simulator sim;
   std::uint64_t sink_got = 0;
-  net::PointToPointLink link(sim, {}, [&](Packet) { ++sink_got; });
+  net::PointToPointLink link(sim, {}, [&](Packet&&) { ++sink_got; });
   std::uint64_t hook_got = 0;
-  link.set_fault_hook([&](Packet) { ++hook_got; });  // swallow everything
+  link.set_fault_hook([&](Packet&&) { ++hook_got; });  // swallow everything
   for (std::uint64_t i = 0; i < 5; ++i) link.send(make_packet(i));
   sim.run();
   EXPECT_EQ(hook_got, 5u);
@@ -192,7 +271,7 @@ TEST(PointToPointLink, FaultHookInterposesOnDelivery) {
 TEST(AckScheduler, FlushReleasesEverythingInOrderNow) {
   Simulator sim;
   std::vector<std::pair<std::uint64_t, TimePoint>> out;
-  core::AckScheduler sched(sim, [&](Packet p) { out.emplace_back(p.uid, sim.now()); });
+  core::AckScheduler sched(sim, [&](Packet&& p) { out.emplace_back(p.uid, sim.now()); });
   sched.hold(make_packet(1), at(100));
   sched.hold(make_packet(2), at(200));
   std::size_t flushed = 0;
@@ -209,7 +288,7 @@ TEST(AckScheduler, DestructorCancelsPendingTimer) {
   Simulator sim;
   std::uint64_t released = 0;
   {
-    core::AckScheduler sched(sim, [&](Packet) { ++released; });
+    core::AckScheduler sched(sim, [&](Packet&&) { ++released; });
     sched.hold(make_packet(1), at(100));
   }  // scheduler destroyed with a timer armed
   sim.run();  // must not fire into the dead scheduler
@@ -220,7 +299,7 @@ TEST(AckScheduler, DestructorCancelsPendingTimer) {
 TEST(AckScheduler, HoldBoundInvariantFires) {
   InvariantScope scope;
   Simulator sim;
-  core::AckScheduler sched(sim, [](Packet) {});
+  core::AckScheduler sched(sim, [](Packet&&) {});
   sched.set_max_hold(10_ms);
   sched.hold(make_packet(1), at(100));  // 100 ms hold against a 10 ms cap
   sim.run();
@@ -230,7 +309,7 @@ TEST(AckScheduler, HoldBoundInvariantFires) {
 TEST(AckScheduler, AckOrderInvariantFiresOnRegression) {
   InvariantScope scope;
   Simulator sim;
-  core::AckScheduler sched(sim, [](Packet) {});
+  core::AckScheduler sched(sim, [](Packet&&) {});
   sched.hold(make_packet(1), at(100));
   sched.hold(make_packet(2), at(50));  // earlier than the previous release
   EXPECT_EQ(obs::invariants().count("feedback.ack_order"), 1u);
@@ -244,7 +323,7 @@ TEST(InbandUpdater, DedupesAndSortsFaultyRtpInput) {
   std::vector<Packet> sent;
   net::FlowId flow{1, 100, 5000, 6000, 17};
   core::InbandFeedbackUpdater u(sim, {}, flow, /*ssrc=*/7,
-                                [&](Packet p) { sent.push_back(std::move(p)); });
+                                [&](Packet&& p) { sent.push_back(std::move(p)); });
   // Duplicated and reordered downlink RTP, as an injector would produce.
   sim.schedule_at(at(0), [&] {
     for (std::uint16_t seq : {std::uint16_t{5}, std::uint16_t{7},
@@ -272,7 +351,7 @@ TEST(InbandUpdater, FlushNowDrainsAndDisarms) {
   core::InbandConfig cfg;
   cfg.max_entries_per_feedback = 2;  // force multiple feedback packets
   core::InbandFeedbackUpdater u(sim, cfg, flow, 7,
-                                [&](Packet p) { sent.push_back(std::move(p)); });
+                                [&](Packet&& p) { sent.push_back(std::move(p)); });
   sim.schedule_at(at(0), [&] {
     for (std::uint16_t seq = 0; seq < 5; ++seq) {
       net::RtpHeader h;
@@ -321,7 +400,7 @@ TEST(Watchdog, FeedbackSilenceFailsOpenThenRecovers) {
   net::FlowId flow{1, 100, 5000, 6000, 6};
   std::vector<std::uint64_t> to_server;
   core::ZhugeFlow zf(sim, rng, flow, watchdog_config(),
-                     [&](Packet p) { to_server.push_back(p.uid); });
+                     [&](Packet&& p) { to_server.push_back(p.uid); });
   queue::DropTailFifo q(-1);
 
   // Healthy phase: downlink data flows and one ACK is delayed.
@@ -388,7 +467,7 @@ TEST(Watchdog, PredictionDivergenceFailsOpen) {
   cfg.watchdog.divergence_threshold_ms = 50.0;
   cfg.watchdog.divergence_alpha = 0.5;
   cfg.watchdog.min_divergence_samples = 5;
-  core::ZhugeFlow zf(sim, rng, flow, cfg, [](Packet) {});
+  core::ZhugeFlow zf(sim, rng, flow, cfg, [](Packet&&) {});
   queue::DropTailFifo q(-1);
 
   sim.schedule_at(at(200), [&] {
@@ -412,7 +491,7 @@ TEST(Watchdog, DisabledNeverDegrades) {
   net::FlowId flow{1, 100, 5000, 6000, 6};
   core::ZhugeConfig cfg = watchdog_config();
   cfg.watchdog.enabled = false;
-  core::ZhugeFlow zf(sim, rng, flow, cfg, [](Packet) {});
+  core::ZhugeFlow zf(sim, rng, flow, cfg, [](Packet&&) {});
   queue::DropTailFifo q(-1);
   sim.schedule_at(at(0), [&] {
     Packet d = tcp_data(flow);
@@ -435,7 +514,7 @@ TEST(ZhugeFlow, TeardownFlushesHeldFeedback) {
   net::FlowId flow{1, 100, 5000, 6000, 6};
   std::vector<std::uint64_t> to_server;
   core::ZhugeFlow zf(sim, rng, flow, watchdog_config(),
-                     [&](Packet p) { to_server.push_back(p.uid); });
+                     [&](Packet&& p) { to_server.push_back(p.uid); });
   queue::DropTailFifo q(-1);
 
   sim.schedule_at(at(0), [&] {

@@ -185,7 +185,7 @@ TEST(OobUpdater, SmoothingReducesDeltaMagnitude) {
 TEST(AckScheduler, ReleasesInOrderAtScheduledTimes) {
   Simulator sim;
   std::vector<std::pair<std::uint64_t, TimePoint>> out;
-  AckScheduler sched(sim, [&](Packet p) { out.emplace_back(p.uid, sim.now()); });
+  AckScheduler sched(sim, [&](Packet&& p) { out.emplace_back(p.uid, sim.now()); });
   Packet a, b;
   a.uid = 1;
   b.uid = 2;
@@ -200,7 +200,7 @@ TEST(AckScheduler, ReleasesInOrderAtScheduledTimes) {
 TEST(AckScheduler, RetreatPullsReleasesEarlier) {
   Simulator sim;
   std::vector<TimePoint> out;
-  AckScheduler sched(sim, [&](Packet) { out.push_back(sim.now()); });
+  AckScheduler sched(sim, [&](Packet&&) { out.push_back(sim.now()); });
   Packet a, b;
   sched.hold(std::move(a), at(100));
   sched.hold(std::move(b), at(200));
@@ -217,7 +217,7 @@ TEST(AckScheduler, RetreatPullsReleasesEarlier) {
 TEST(AckScheduler, RetreatClampsAtNow) {
   Simulator sim;
   std::vector<TimePoint> out;
-  AckScheduler sched(sim, [&](Packet) { out.push_back(sim.now()); });
+  AckScheduler sched(sim, [&](Packet&&) { out.push_back(sim.now()); });
   Packet a;
   sched.hold(std::move(a), at(100));
   sim.schedule_at(at(60), [&] { (void)sched.retreat(500_ms); });
@@ -233,7 +233,7 @@ TEST(InbandUpdater, ConstructsTwccFromFortunes) {
   cfg.feedback_interval = 25_ms;
   net::FlowId flow{1, 100, 5000, 6000, 17};
   InbandFeedbackUpdater u(sim, cfg, flow, /*ssrc=*/7,
-                          [&](Packet p) { sent.push_back(std::move(p)); });
+                          [&](Packet&& p) { sent.push_back(std::move(p)); });
   net::RtpHeader h;
   h.twcc_seq = 5;
   sim.schedule_at(at(0), [&] { u.on_rtp_packet(h, 12_ms); });
@@ -254,7 +254,7 @@ TEST(InbandUpdater, ReportedRecvTimesAreMonotone) {
   std::vector<Packet> sent;
   net::FlowId flow{1, 100, 5000, 6000, 17};
   InbandFeedbackUpdater u(sim, {}, flow, 1,
-                          [&](Packet p) { sent.push_back(std::move(p)); });
+                          [&](Packet&& p) { sent.push_back(std::move(p)); });
   // Noisy predictions: 30 ms then 5 ms — reported times must not regress.
   net::RtpHeader h1, h2;
   h1.twcc_seq = 1;
@@ -273,7 +273,7 @@ TEST(InbandUpdater, ReportedRecvTimesAreMonotone) {
 TEST(InbandUpdater, DropsOnlyMatchingClientTwcc) {
   Simulator sim;
   net::FlowId flow{1, 100, 5000, 6000, 17};
-  InbandFeedbackUpdater u(sim, {}, flow, /*ssrc=*/7, [](Packet) {});
+  InbandFeedbackUpdater u(sim, {}, flow, /*ssrc=*/7, [](Packet&&) {});
 
   Packet own_twcc;
   own_twcc.header = net::RtcpHeader{net::TwccFeedback{.ssrc = 7, .entries = {}}};
@@ -297,7 +297,7 @@ TEST(ZhugeFlow, AnnotatesPredictionsAndRoutesUplink) {
   sim::Rng rng(1);
   net::FlowId flow{1, 100, 5000, 6000, 6};
   std::vector<Packet> to_server;
-  ZhugeFlow zf(sim, rng, flow, {}, [&](Packet p) { to_server.push_back(std::move(p)); });
+  ZhugeFlow zf(sim, rng, flow, {}, [&](Packet&& p) { to_server.push_back(std::move(p)); });
   queue::DropTailFifo q(-1);
 
   Packet data;
@@ -321,7 +321,7 @@ TEST(ZhugeFlow, HandleUplinkForwardsRtcpNack) {
   sim::Rng rng(1);
   net::FlowId flow{1, 100, 5000, 6000, 17};
   std::vector<Packet> to_server;
-  ZhugeFlow zf(sim, rng, flow, {}, [&](Packet p) { to_server.push_back(std::move(p)); });
+  ZhugeFlow zf(sim, rng, flow, {}, [&](Packet&& p) { to_server.push_back(std::move(p)); });
   queue::DropTailFifo q(-1);
 
   Packet data;

@@ -214,7 +214,7 @@ TEST(ZhugeOpaque, EncryptedTransportStillGetsOobTreatment) {
   net::FlowId flow{1, 100, 443, 50000, 17};  // UDP: QUIC-like
   std::vector<net::Packet> to_server;
   core::ZhugeFlow zf(simu, rng, flow, {},
-                     [&](net::Packet p) { to_server.push_back(std::move(p)); });
+                     [&](net::Packet&& p) { to_server.push_back(std::move(p)); });
   queue::DropTailFifo q(-1);
 
   // Downlink data with opaque payloads (monostate header).
@@ -243,7 +243,7 @@ TEST(ZhugeOpaque, DelayedReleaseReflectsPredictedDeltas) {
   core::ZhugeConfig cfg;
   cfg.oob.delta_smoothing_alpha = 1.0;
   core::ZhugeFlow zf(simu, rng, flow, cfg,
-                     [&](net::Packet) { releases.push_back(simu.now()); });
+                     [&](net::Packet&&) { releases.push_back(simu.now()); });
   queue::DropTailFifo q(-1);
 
   // Two opaque data packets whose queue grew by 10 kB in between: the

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <deque>
 #include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -25,6 +26,12 @@ using sim::Duration;
 using sim::Simulator;
 using sim::TimePoint;
 using namespace sim::literals;
+
+// Packets travel by rvalue: a handler cannot be handed an lvalue, so no
+// hop copies a packet unless the copy is written out (`net::Packet(p)`).
+static_assert(std::is_invocable_v<PacketHandler, Packet&&>);
+static_assert(!std::is_invocable_v<PacketHandler, Packet&>);
+static_assert(!std::is_invocable_v<PacketHandler, const Packet&>);
 
 TEST(FlowId, ReversedSwapsEndpoints) {
   const FlowId f{1, 2, 100, 200, 17};
@@ -140,7 +147,7 @@ TEST(PointToPointLink, DeliversWithSerializationPlusPropagation) {
   PointToPointLink::Config cfg;
   cfg.rate_bps = 8e6;  // 1 byte per microsecond
   cfg.prop_delay = 10_ms;
-  PointToPointLink link(sim, cfg, [&](Packet) { deliveries.push_back(sim.now()); });
+  PointToPointLink link(sim, cfg, [&](Packet&&) { deliveries.push_back(sim.now()); });
   link.send(make_packet(1000));
   sim.run();
   ASSERT_EQ(deliveries.size(), 1u);
@@ -153,7 +160,7 @@ TEST(PointToPointLink, SerializesBackToBack) {
   PointToPointLink::Config cfg;
   cfg.rate_bps = 8e6;
   cfg.prop_delay = Duration::zero();
-  PointToPointLink link(sim, cfg, [&](Packet) { deliveries.push_back(sim.now()); });
+  PointToPointLink link(sim, cfg, [&](Packet&&) { deliveries.push_back(sim.now()); });
   link.send(make_packet(1000));
   link.send(make_packet(1000));
   sim.run();
@@ -166,7 +173,7 @@ TEST(PointToPointLink, PreservesOrder) {
   Simulator sim;
   std::vector<std::uint64_t> uids;
   PointToPointLink::Config cfg;
-  PointToPointLink link(sim, cfg, [&](Packet p) { uids.push_back(p.uid); });
+  PointToPointLink link(sim, cfg, [&](Packet&& p) { uids.push_back(p.uid); });
   for (std::uint64_t i = 0; i < 20; ++i) link.send(make_packet(500, i));
   sim.run();
   ASSERT_EQ(uids.size(), 20u);
@@ -182,7 +189,7 @@ class TwoEventReferenceLink {
   TwoEventReferenceLink(Simulator& sim, PointToPointLink::Config cfg, PacketHandler sink)
       : sim_(sim), cfg_(cfg), sink_(std::move(sink)) {}
 
-  void send(Packet p) {
+  void send(Packet&& p) {
     queue_.push_back(pool_.put(std::move(p)));
     if (!busy_) transmit_next();
   }
@@ -204,12 +211,13 @@ class TwoEventReferenceLink {
 
   void on_serialized(sim::Pool<Packet>::Index idx) {
     sim_.schedule_after(cfg_.prop_delay, [this, idx] {
-      Packet p = pool_.take(idx);
+      Packet& p = pool_.at(idx);
       if (fault_hook_) {
         fault_hook_(std::move(p));
       } else if (sink_) {
         sink_(std::move(p));
       }
+      pool_.release(idx);
     });
     transmit_next();
   }
@@ -274,12 +282,12 @@ std::vector<std::pair<std::uint64_t, std::int64_t>> run_link_case(const LinkCase
   Simulator sim;
   std::vector<std::pair<std::uint64_t, std::int64_t>> out;
   int sink_calls = 0;
-  Link link(sim, c.cfg, [&](Packet p) {
+  Link link(sim, c.cfg, [&](Packet&& p) {
     ++sink_calls;
     out.emplace_back(p.uid, sim.now().count_ns());
   });
   if (c.via_fault_hook) {
-    link.set_fault_hook([&](Packet p) { out.emplace_back(p.uid, sim.now().count_ns()); });
+    link.set_fault_hook([&](Packet&& p) { out.emplace_back(p.uid, sim.now().count_ns()); });
   }
   std::size_t next = 0;
   std::function<void()> send_one = [&] {
@@ -311,7 +319,7 @@ TEST(PointToPointLink, SendAtSerializationEndStartsAtOnce) {
   PointToPointLink::Config cfg;
   cfg.rate_bps = 8e6;
   cfg.prop_delay = 5_ms;
-  PointToPointLink link(sim, cfg, [&](Packet) { deliveries.push_back(sim.now()); });
+  PointToPointLink link(sim, cfg, [&](Packet&&) { deliveries.push_back(sim.now()); });
   link.send(make_packet(1000));
   sim.schedule_at(TimePoint::zero() + 1_ms, [&] { link.send(make_packet(1000)); });
   sim.run();

@@ -8,12 +8,16 @@
 //    and random retreats;
 //  * synthetic ABW traces — seed-determinism, class rate envelopes, and
 //    rate_at() piecewise/sample-and-hold consistency (the eval matrix's
-//    trace axis leans on all three).
+//    trace axis leans on all three);
+//  * sim::FlatMap — the AP's flow/station tables and the flow demux:
+//    lookups and in-order iteration identical to std::map's.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <vector>
 
 #include "core/ack_scheduler.hpp"
@@ -21,6 +25,7 @@
 #include "net/packet.hpp"
 #include "net/seq.hpp"
 #include "prop.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/simulator.hpp"
 #include "trace/synthetic.hpp"
 
@@ -125,7 +130,7 @@ TEST(PropAckScheduler, NeverReordersUnderRandomHoldsAndRetreats) {
   prop::for_all([](sim::Rng& rng, int) {
     sim::Simulator sim;
     std::vector<std::uint64_t> released;
-    core::AckScheduler sched(sim, [&released](net::Packet p) {
+    core::AckScheduler sched(sim, [&released](net::Packet&& p) {
       released.push_back(p.uid);
     });
 
@@ -253,6 +258,68 @@ TEST(PropSyntheticTrace, RateAtMatchesSampleAndHold) {
       // Looping: one whole span later is bitwise the same rate.
       ASSERT_EQ(t.rate_at(at), t.rate_at(TimePoint{ns + span_ns}));
     }
+  });
+}
+
+// ---------------------------------------------------------------------------
+// FlatMap
+// ---------------------------------------------------------------------------
+
+TEST(PropFlatMap, MatchesStdMapUnderRandomInsertFindErase) {
+  prop::for_all([](sim::Rng& rng, int) {
+    // Keys from a small 5-tuple space, so inserts collide, erases hit and
+    // finds miss often; every field of the key takes part in the order.
+    const auto draw_key = [&rng] {
+      return net::FlowId{1 + rng.uniform_int(2), 100 + rng.uniform_int(4),
+                         static_cast<std::uint16_t>(5000 + rng.uniform_int(2)),
+                         static_cast<std::uint16_t>(6000 + rng.uniform_int(4)),
+                         rng.chance(0.5) ? std::uint8_t{17} : std::uint8_t{6}};
+    };
+    sim::FlatMap<net::FlowId, std::unique_ptr<int>> flat;
+    std::map<net::FlowId, std::unique_ptr<int>> ref;
+    const int ops = 1 + static_cast<int>(rng.uniform_int(150));
+    for (int op = 0; op < ops; ++op) {
+      const net::FlowId key = draw_key();
+      const double pick = rng.uniform();
+      if (pick < 0.45) {
+        const auto [fit, finserted] = flat.try_emplace(key, std::make_unique<int>(op));
+        const auto [rit, rinserted] = ref.try_emplace(key, std::make_unique<int>(op));
+        ASSERT_EQ(finserted, rinserted);
+        EXPECT_EQ(fit->first, rit->first);
+        EXPECT_EQ(*fit->second, *rit->second);
+      } else if (pick < 0.7) {
+        ASSERT_EQ(flat.erase(key), ref.erase(key));
+      } else if (pick < 0.8 && !flat.empty()) {
+        // Erase by iterator, at a random position.
+        const auto nth = static_cast<std::ptrdiff_t>(
+            rng.uniform_int(static_cast<std::uint32_t>(flat.size())));
+        const auto fnext = flat.erase(flat.begin() + nth);
+        const auto rnext = ref.erase(std::next(ref.begin(), nth));
+        ASSERT_EQ(fnext == flat.end(), rnext == ref.end());
+        if (fnext != flat.end()) {
+          EXPECT_EQ(fnext->first, rnext->first);
+        }
+      } else {
+        const auto fit = flat.find(key);
+        const auto rit = ref.find(key);
+        ASSERT_EQ(fit == flat.end(), rit == ref.end());
+        if (fit != flat.end()) {
+          EXPECT_EQ(*fit->second, *rit->second);
+        }
+      }
+      // In-order iteration: the same keys, values and order after every op.
+      ASSERT_EQ(flat.size(), ref.size());
+      ASSERT_EQ(flat.empty(), ref.empty());
+      auto rit = ref.begin();
+      for (const auto& [k, v] : flat) {
+        ASSERT_EQ(k, rit->first);
+        ASSERT_EQ(*v, *rit->second);
+        ++rit;
+      }
+    }
+    flat.clear();
+    EXPECT_TRUE(flat.empty());
+    EXPECT_EQ(flat.begin(), flat.end());
   });
 }
 

@@ -106,7 +106,7 @@ LevelProbe probe_level(obs::LadderLevel level) {
   net::FlowId flow{1, 100, 5000, 6000, 6};
   core::ZhugeConfig cfg;
   cfg.watchdog.initial_level = level;  // pins the ladder
-  core::ZhugeFlow zf(sim, rng, flow, cfg, [](Packet) {});
+  core::ZhugeFlow zf(sim, rng, flow, cfg, [](Packet&&) {});
   queue::DropTailFifo q(-1);
   LevelProbe out;
 
@@ -195,7 +195,7 @@ TEST(ResilienceLadder, DivergenceEvidenceResetsAcrossRecovery) {
   cfg.watchdog.divergence_alpha = 0.5;
   cfg.watchdog.min_divergence_samples = 5;
   cfg.watchdog.recovery_settle = 100_ms;
-  core::ZhugeFlow zf(sim, rng, flow, cfg, [](Packet) {});
+  core::ZhugeFlow zf(sim, rng, flow, cfg, [](Packet&&) {});
 
   const auto divergent_sample = [&] {
     Packet p = tcp_data(flow);

@@ -36,7 +36,7 @@ struct Loop {
 
   explicit Loop(RtpSender::Config scfg = {}, RtpReceiver::Config rcfg = {}) {
     sender = std::make_unique<RtpSender>(
-        sim, rng, flow, scfg, uids, [this](Packet p) {
+        sim, rng, flow, scfg, uids, [this](Packet&& p) {
           if (drop_data && drop_data(p)) return;
           sim.schedule_after(one_way, [this, p = std::move(p)]() mutable {
             receiver->on_rtp(p);
@@ -44,7 +44,7 @@ struct Loop {
         });
     receiver = std::make_unique<RtpReceiver>(
         sim, rcfg, uids,
-        [this](Packet p) {
+        [this](Packet&& p) {
           if (rtcp_tap) rtcp_tap(p);
           sim.schedule_after(one_way, [this, p = std::move(p)]() mutable {
             sender->on_rtcp(p);
@@ -148,7 +148,7 @@ struct BareSender {
     cfg.history_packets = kHistory;
     sender = std::make_unique<RtpSender>(
         sim, rng, net::FlowId{1, 2, 10, 20, 17}, cfg, uids,
-        [this](Packet p) { sent.push_back(std::move(p)); });
+        [this](Packet&& p) { sent.push_back(std::move(p)); });
     sender->start();
     sim.run_until(TimePoint::zero() + 1020_ms);
   }

@@ -37,7 +37,7 @@ struct Loop {
     if (!cca) cca = std::make_unique<cca::Cubic>();
     sender = std::make_unique<TcpSender>(
         sim, flow, std::move(cca), TcpSender::Config{}, uids,
-        [this](Packet p) {
+        [this](Packet&& p) {
           if (drop_data && drop_data(p)) return;
           sim.schedule_after(one_way, [this, p = std::move(p)]() mutable {
             receiver->on_data(p);
@@ -45,7 +45,7 @@ struct Loop {
         });
     receiver = std::make_unique<TcpReceiver>(
         sim, TcpReceiver::Config{}, uids,
-        [this](Packet p) {
+        [this](Packet&& p) {
           sim.schedule_after(one_way, [this, p = std::move(p)]() mutable {
             sender->on_ack(p);
           });
@@ -153,7 +153,7 @@ TEST(TcpReceiver, MergesOutOfOrderIntervals) {
   Simulator sim;
   net::PacketUidSource uids;
   std::vector<Packet> acks;
-  TcpReceiver rx(sim, {}, uids, [&](Packet p) { acks.push_back(std::move(p)); },
+  TcpReceiver rx(sim, {}, uids, [&](Packet&& p) { acks.push_back(std::move(p)); },
                  nullptr);
   auto data = [&](std::uint64_t seq, std::uint64_t end) {
     Packet p;
@@ -197,7 +197,7 @@ TEST(TcpReceiver, EchoesTimestampAndAbcMark) {
   Simulator sim;
   net::PacketUidSource uids;
   std::vector<Packet> acks;
-  TcpReceiver rx(sim, {}, uids, [&](Packet p) { acks.push_back(std::move(p)); },
+  TcpReceiver rx(sim, {}, uids, [&](Packet&& p) { acks.push_back(std::move(p)); },
                  nullptr);
   Packet p;
   p.flow = net::FlowId{1, 2, 3, 4, 6};

@@ -105,7 +105,7 @@ struct WifiHarness {
         channel(&tr),
         medium(sim, rng, {}) {
     link = std::make_unique<WifiLink>(sim, rng, channel, medium, qdisc, cfg,
-                                      [this](Packet p) { delivered.push_back(std::move(p)); });
+                                      [this](Packet&& p) { delivered.push_back(std::move(p)); });
   }
 };
 
@@ -225,7 +225,7 @@ TEST(CellularLink, DeliversAtTraceRate) {
   queue::DropTailFifo q(-1);
   std::vector<Packet> delivered;
   CellularLink link(sim, rng, ch, q, {},
-                    [&](Packet p) { delivered.push_back(std::move(p)); });
+                    [&](Packet&& p) { delivered.push_back(std::move(p)); });
   // 1 MB at 8 Mbps = 1 s.
   const int n = 1'000'000 / 1000;
   for (int i = 0; i < n; ++i) link.offer(make_packet(1000));
@@ -243,7 +243,7 @@ TEST(CellularLink, BudgetDoesNotBankWhileIdle) {
   queue::DropTailFifo q(-1);
   std::vector<TimePoint> deliveries;
   CellularLink link(sim, rng, ch, q, {},
-                    [&](Packet) { deliveries.push_back(sim.now()); });
+                    [&](Packet&&) { deliveries.push_back(sim.now()); });
   link.offer(make_packet(1000));
   sim.run_until(TimePoint::zero() + 500_ms);
   // A long idle period must not accumulate credit that would let a later
@@ -293,7 +293,7 @@ TEST(CellularLink, ResidualLossAccountingIsDeterministic) {
     CellularLink::Config cfg;
     cfg.loss_prob = 0.3;
     CellularLink link(sim, rng, ch, q, cfg,
-                      [&](Packet p) { uids.push_back(p.uid); });
+                      [&](Packet&& p) { uids.push_back(p.uid); });
     for (std::uint64_t i = 0; i < 400; ++i) link.offer(make_packet(1000, i));
     sim.run_until(TimePoint::zero() + 10_s);
     return uids;
@@ -314,7 +314,7 @@ TEST(CellularLink, ResidualLossDropsPackets) {
   int delivered = 0;
   CellularLink::Config cfg;
   cfg.loss_prob = 0.5;
-  CellularLink link(sim, rng, ch, q, cfg, [&](Packet) { ++delivered; });
+  CellularLink link(sim, rng, ch, q, cfg, [&](Packet&&) { ++delivered; });
   for (int i = 0; i < 400; ++i) link.offer(make_packet(1000));
   sim.run_until(TimePoint::zero() + 10_s);
   EXPECT_GT(delivered, 120);

@@ -32,7 +32,8 @@ void usage(const char* argv0) {
       "          [--verify-serial] [--attrib] [--list]\n"
       "  --threads N      worker threads (default 1 = serial)\n"
       "  --seeds N        seeds per scenario, 1..N (default 4)\n"
-      "  --duration SECS  simulated seconds per run (default 10)\n"
+      "  --duration SECS  simulated seconds per run, more than the 5 s warm-up\n"
+      "                   (default 10)\n"
       "  --metrics PATH   write aggregated per-run metrics JSON to PATH\n"
       "  --verify-serial  re-run serially, fail on any fingerprint mismatch\n"
       "  --attrib         record latency attribution, print the merged report\n"
@@ -73,6 +74,14 @@ int main(int argc, char** argv) {
       usage(argv[0]);
       return 2;
     }
+  }
+  // Every metric is measured after the warm-up: a run no longer than it
+  // has no samples, and its goodput divides by a zero-length window.
+  const long warmup_s = static_cast<long>(app::ScenarioConfig{}.warmup.to_seconds());
+  if (duration_s <= warmup_s) {
+    std::fprintf(stderr, "sweep_run: --duration must exceed the %ld s warm-up\n", warmup_s);
+    usage(argv[0]);
+    return 2;
   }
 
   // Channel traces outlive the runs and are shared read-only across
