@@ -5,8 +5,10 @@
 // `--trace out.json` / `--metrics out.json` (see ObsSession below).
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "app/scenario.hpp"
@@ -19,11 +21,11 @@
 namespace zhuge::bench {
 
 using app::ApMode;
-using app::Protocol;
+using app::LinkKind;
+using app::MultiStationResult;
 using app::QdiscKind;
-using app::ScenarioConfig;
-using app::ScenarioResult;
-using app::TcpCcaKind;
+using app::ScenarioSpec;
+using app::SpecFlowKind;
 using sim::Duration;
 using sim::TimePoint;
 
@@ -34,43 +36,64 @@ inline const std::vector<trace::TraceKind> kPaperTraces = {
     trace::TraceKind::kCity5G};
 
 /// Cellular traces ride the cellular link model; WiFi traces the AMPDU one.
-inline app::LinkKind link_for(trace::TraceKind kind) {
+inline LinkKind link_for(trace::TraceKind kind) {
   switch (kind) {
     case trace::TraceKind::kRestaurantWifi:
     case trace::TraceKind::kOfficeWifi:
-      return app::LinkKind::kWifi;
+      return LinkKind::kWifi;
     default:
-      return app::LinkKind::kCellular;
+      return LinkKind::kCellular;
   }
 }
 
-/// Baseline scenario for trace-driven evaluation (§7.2-§7.3 setup:
-/// 1080p24 video averaging ~2 Mbps, 50 ms base RTT).
-inline ScenarioConfig trace_config(const trace::Trace& tr, trace::TraceKind kind,
-                                   Duration duration, std::uint64_t seed) {
-  ScenarioConfig cfg;
-  cfg.channel_trace = &tr;
-  cfg.ap.link = link_for(kind);
-  cfg.duration = duration;
-  cfg.warmup = Duration::seconds(5);
-  cfg.seed = seed;
-  return cfg;
+/// A trace a spec's station can hold (StationGroupSpec::trace).
+inline std::shared_ptr<const trace::Trace> shared(trace::Trace tr) {
+  return std::make_shared<const trace::Trace>(std::move(tr));
 }
 
-/// Microbenchmark scenario: fixed 30 Mbps link, video cap high enough for
-/// the CCA to fill it (Fig. 4/14/15 setup).
-inline ScenarioConfig drop_config(const trace::Trace& tr, std::uint64_t seed) {
-  ScenarioConfig cfg;
-  cfg.channel_trace = &tr;
-  cfg.duration = Duration::seconds(40);
-  cfg.warmup = Duration::seconds(5);
-  cfg.seed = seed;
-  cfg.video.max_bitrate_bps = 40e6;
+/// The single-client topology of the figure benches: one MCS-7 Wi-Fi
+/// station, one RTC flow of `kind` (flow 0, optimised whenever the AP runs
+/// a mechanism) carrying the paper's 1080p24 video capped at 2.5 Mbps
+/// (§7.2), 5 s warm-up, and flow 0's series recorded.
+inline ScenarioSpec rtc_spec(SpecFlowKind kind, ApMode mode, Duration duration,
+                             std::uint64_t seed) {
+  ScenarioSpec spec;
+  spec.name = app::to_string(kind);
+  spec.duration_s = duration.to_seconds();
+  spec.warmup_s = 5.0;
+  spec.seed = seed;
+  spec.ap_mode = mode;
+  spec.stations.push_back(app::StationGroupSpec{});
+  spec.flows.push_back(app::SpecFlow{.kind = kind, .zhuge = true, .fps = 24.0});
+  spec.series_flow = 0;
+  return spec;
+}
+
+/// Trace-driven evaluation (§7.2-§7.3 setup): the station's downlink
+/// follows `tr` over the link technology of its trace class.
+inline ScenarioSpec trace_spec(std::shared_ptr<const trace::Trace> tr,
+                               trace::TraceKind kind, SpecFlowKind flow,
+                               ApMode mode, Duration duration,
+                               std::uint64_t seed) {
+  ScenarioSpec spec = rtc_spec(flow, mode, duration, seed);
+  spec.stations.front().trace = std::move(tr);
+  spec.stations.front().link = link_for(kind);
+  return spec;
+}
+
+/// Microbenchmark scenario: a 40 s run over `tr` (Fig. 4/14/15 step
+/// traces) with a video cap high enough for the CCA to fill the link.
+inline ScenarioSpec drop_spec(std::shared_ptr<const trace::Trace> tr,
+                              SpecFlowKind flow, ApMode mode,
+                              std::uint64_t seed) {
+  ScenarioSpec spec = rtc_spec(flow, mode, Duration::seconds(40), seed);
+  spec.stations.front().trace = std::move(tr);
+  spec.flows.front().max_bitrate_mbps = 40.0;
   // NS-3-style 100-packet bottleneck buffer: the microbenchmarks measure
   // reaction speed, and a deeply bufferbloated queue would bury the
   // control-loop differences under multi-second drain times.
-  cfg.ap.queue_limit_bytes = 100 * 1500;
-  return cfg;
+  spec.stations.front().queue_limit_bytes = 100 * 1500;
+  return spec;
 }
 
 struct TailMetrics {
@@ -81,20 +104,20 @@ struct TailMetrics {
   double p99_rtt_ms = 0.0;
 };
 
-inline TailMetrics tail_metrics(const ScenarioResult& r) {
+/// Flow 0's tails (the spec must record flow 0's series).
+inline TailMetrics tail_metrics(const MultiStationResult& r) {
   TailMetrics m;
-  const auto& f = r.primary();
+  const auto& f = r.flows.front();
   m.rtt_gt_200 = f.network_rtt_ms.ratio_above(200.0);
   m.fd_gt_400 = f.frame_delay_ms.ratio_above(400.0);
-  m.fps_lt_10 = f.frame_rate_fps.ratio_below(10.0);
+  m.fps_lt_10 = r.series->frame_rate_fps.ratio_below(10.0);
   m.goodput_mbps = f.goodput_bps / 1e6;
   m.p99_rtt_ms = f.network_rtt_ms.quantile(0.99);
   return m;
 }
 
 /// Average tail metrics over several seeds. `run` executes one seed and
-/// returns the ScenarioResult (it owns the trace for the duration of the
-/// run, avoiding dangling channel_trace pointers).
+/// returns its MultiStationResult.
 template <typename RunSeed>
 TailMetrics averaged_tails(RunSeed&& run, int seeds) {
   TailMetrics sum;
@@ -122,17 +145,18 @@ struct Degradation {
   double fps_secs = 0.0;   ///< time with frame rate < 10 fps
 };
 
-inline Degradation degradation_after(const ScenarioResult& r, Duration drop_at,
-                                     Duration duration) {
+inline Degradation degradation_after(const MultiStationResult& r,
+                                     Duration drop_at, Duration duration) {
   Degradation d;
   const TimePoint t0 = TimePoint::zero() + drop_at;
   const TimePoint t1 = TimePoint::zero() + duration;
-  d.rtt_secs = r.rtt_series_ms.time_above(200.0, t0, t1).to_seconds();
-  d.fd_secs = r.frame_delay_series_ms.time_above(400.0, t0, t1).to_seconds();
+  const app::FlowSeries& series = *r.series;
+  d.rtt_secs = series.rtt_ms.time_above(200.0, t0, t1).to_seconds();
+  d.fd_secs = series.frame_delay_ms.time_above(400.0, t0, t1).to_seconds();
   // Frame rate < 10 fps: derive from per-second decode counts in the
   // frame-delay series' gaps — approximated by counting seconds without
   // at least 10 decoded frames.
-  const auto& pts = r.frame_delay_series_ms.points();
+  const auto& pts = series.frame_delay_ms.points();
   const auto from_sec = static_cast<std::size_t>(drop_at.to_seconds());
   const auto to_sec = static_cast<std::size_t>(duration.to_seconds());
   std::vector<int> per_second(to_sec + 1, 0);

@@ -27,23 +27,24 @@ int main(int argc, char** argv) {
   std::printf("\nP(RTT > x ms):\n  %-24s", "access \\ x");
   for (double t : rtt_thresh) std::printf(" %7.0fms", t);
   std::printf("\n");
-  std::vector<app::ScenarioResult> results;
+  std::vector<MultiStationResult> results;
   for (const auto& row : rows) {
-    const auto tr = trace::make_trace(row.kind, 17, dur);
-    auto cfg = trace_config(tr, row.kind, dur, 17);
-    results.push_back(app::run_scenario(cfg));
-    print_ccdf(row.label, results.back().primary().network_rtt_ms, rtt_thresh);
+    const auto spec = trace_spec(shared(trace::make_trace(row.kind, 17, dur)),
+                                 row.kind, SpecFlowKind::kRtpGcc, ApMode::kNone,
+                                 dur, 17);
+    results.push_back(app::run_multi_station(spec));
+    print_ccdf(row.label, results.back().flows.front().network_rtt_ms, rtt_thresh);
   }
 
   std::printf("\nP(frame delay > x ms):\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    print_ccdf(rows[i].label, results[i].primary().frame_delay_ms, fd_thresh);
+    print_ccdf(rows[i].label, results[i].flows.front().frame_delay_ms, fd_thresh);
   }
 
   std::printf("\nP(frame rate < x fps):\n  %-24s %9s %9s %9s\n", "", "<10fps", "<15fps",
               "<20fps");
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& fr = results[i].primary().frame_rate_fps;
+    const auto& fr = results[i].series->frame_rate_fps;
     std::printf("  %-24s %8.4f%% %8.4f%% %8.4f%%\n", rows[i].label,
                 100.0 * fr.ratio_below(10.0), 100.0 * fr.ratio_below(15.0),
                 100.0 * fr.ratio_below(20.0));
@@ -52,7 +53,7 @@ int main(int argc, char** argv) {
   std::printf("\nP50 RTT (comparable across access types, per the paper):\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     std::printf("  %-24s %6.1f ms\n", rows[i].label,
-                results[i].primary().network_rtt_ms.quantile(0.5));
+                results[i].flows.front().network_rtt_ms.quantile(0.5));
   }
   return 0;
 }

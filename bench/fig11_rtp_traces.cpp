@@ -35,12 +35,11 @@ int main(int argc, char** argv) {
     for (const auto& m : modes) {
       const auto metrics = averaged_tails(
           [&](int s) {
-            const auto tr = trace::make_trace(kind, 13u * static_cast<unsigned>(s), dur);
-            auto cfg = trace_config(tr, kind, dur, static_cast<std::uint64_t>(s));
-            cfg.protocol = Protocol::kRtp;
-            cfg.ap.mode = m.ap;
-            cfg.ap.qdisc = m.qdisc;
-            return app::run_scenario(cfg);
+            auto spec = trace_spec(
+                shared(trace::make_trace(kind, 13u * static_cast<unsigned>(s), dur)),
+                kind, SpecFlowKind::kRtpGcc, m.ap, dur, static_cast<std::uint64_t>(s));
+            spec.stations.front().qdisc = m.qdisc;
+            return app::run_multi_station(spec);
           },
           seeds);
       row.push_back(metrics);

@@ -16,13 +16,13 @@ int main(int argc, char** argv) {
   struct Mode {
     const char* label;
     ApMode ap;
-    TcpCcaKind cca;
+    SpecFlowKind cca;
   };
   const std::vector<Mode> modes = {
-      {"Copa", ApMode::kNone, TcpCcaKind::kCopa},
-      {"Copa+FastAck", ApMode::kFastAck, TcpCcaKind::kCopa},
-      {"ABC", ApMode::kAbc, TcpCcaKind::kAbc},
-      {"Copa+Zhuge", ApMode::kZhuge, TcpCcaKind::kCopa},
+      {"Copa", ApMode::kNone, SpecFlowKind::kTcpCopa},
+      {"Copa+FastAck", ApMode::kFastAck, SpecFlowKind::kTcpCopa},
+      {"ABC", ApMode::kAbc, SpecFlowKind::kTcpAbc},
+      {"Copa+Zhuge", ApMode::kZhuge, SpecFlowKind::kTcpCopa},
   };
 
   std::printf("\n(a) P(NetworkRtt > 200 ms)   [sender-capture semantics]\n  %-10s",
@@ -37,13 +37,9 @@ int main(int argc, char** argv) {
     for (const auto& m : modes) {
       const auto metrics = averaged_tails(
           [&](int s) {
-            const auto tr =
-                trace::make_trace(kind, 13u * static_cast<unsigned>(s), dur);
-            auto cfg = trace_config(tr, kind, dur, static_cast<std::uint64_t>(s));
-            cfg.protocol = Protocol::kTcp;
-            cfg.tcp_cca = m.cca;
-            cfg.ap.mode = m.ap;
-            return app::run_scenario(cfg);
+            return app::run_multi_station(trace_spec(
+                shared(trace::make_trace(kind, 13u * static_cast<unsigned>(s), dur)),
+                kind, m.cca, m.ap, dur, static_cast<std::uint64_t>(s)));
           },
           seeds);
       row.push_back(metrics);

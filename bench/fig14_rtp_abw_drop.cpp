@@ -33,12 +33,11 @@ int main(int argc, char** argv) {
       Degradation acc;
       const int seeds = 3;
       for (int s = 1; s <= seeds; ++s) {
-        const auto tr = trace::step_trace(30e6, 30e6 / k, drop_at, dur);
-        auto cfg = drop_config(tr, static_cast<std::uint64_t>(s));
-        cfg.protocol = Protocol::kRtp;
-        cfg.ap.mode = m.ap;
-        cfg.ap.qdisc = m.qdisc;
-        const auto d = degradation_after(app::run_scenario(cfg), drop_at, dur);
+        auto spec = drop_spec(shared(trace::step_trace(30e6, 30e6 / k, drop_at, dur)),
+                              SpecFlowKind::kRtpGcc, m.ap,
+                              static_cast<std::uint64_t>(s));
+        spec.stations.front().qdisc = m.qdisc;
+        const auto d = degradation_after(app::run_multi_station(spec), drop_at, dur);
         acc.rtt_secs += d.rtt_secs / seeds;
         acc.fd_secs += d.fd_secs / seeds;
         acc.fps_secs += d.fps_secs / seeds;

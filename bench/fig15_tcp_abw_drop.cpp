@@ -18,13 +18,13 @@ int main(int argc, char** argv) {
   struct Mode {
     const char* label;
     ApMode ap;
-    TcpCcaKind cca;
+    SpecFlowKind cca;
   };
   const std::vector<Mode> modes = {
-      {"Copa", ApMode::kNone, TcpCcaKind::kCopa},
-      {"Copa+FastAck", ApMode::kFastAck, TcpCcaKind::kCopa},
-      {"ABC", ApMode::kAbc, TcpCcaKind::kAbc},
-      {"Copa+Zhuge", ApMode::kZhuge, TcpCcaKind::kCopa},
+      {"Copa", ApMode::kNone, SpecFlowKind::kTcpCopa},
+      {"Copa+FastAck", ApMode::kFastAck, SpecFlowKind::kTcpCopa},
+      {"ABC", ApMode::kAbc, SpecFlowKind::kTcpAbc},
+      {"Copa+Zhuge", ApMode::kZhuge, SpecFlowKind::kTcpCopa},
   };
 
   std::vector<std::vector<Degradation>> table;
@@ -34,12 +34,10 @@ int main(int argc, char** argv) {
       Degradation acc;
       const int seeds = 3;
       for (int s = 1; s <= seeds; ++s) {
-        const auto tr = trace::step_trace(30e6, 30e6 / k, drop_at, dur);
-        auto cfg = drop_config(tr, static_cast<std::uint64_t>(s));
-        cfg.protocol = Protocol::kTcp;
-        cfg.tcp_cca = m.cca;
-        cfg.ap.mode = m.ap;
-        const auto d = degradation_after(app::run_scenario(cfg), drop_at, dur);
+        const auto spec =
+            drop_spec(shared(trace::step_trace(30e6, 30e6 / k, drop_at, dur)), m.cca,
+                      m.ap, static_cast<std::uint64_t>(s));
+        const auto d = degradation_after(app::run_multi_station(spec), drop_at, dur);
         acc.rtt_secs += d.rtt_secs / seeds;
         acc.fd_secs += d.fd_secs / seeds;
         acc.fps_secs += d.fps_secs / seeds;

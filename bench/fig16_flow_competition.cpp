@@ -29,17 +29,14 @@ int main(int argc, char** argv) {
   for (const auto& m : modes) {
     std::vector<Degradation> row;
     for (int flows : flow_counts) {
-      const auto tr = trace::constant_trace(30e6, dur);
-      app::ScenarioConfig cfg;
-      cfg.channel_trace = &tr;
-      cfg.duration = dur;
-      cfg.warmup = measure_from;
-      cfg.seed = 7;
-      cfg.protocol = Protocol::kRtp;
-      cfg.ap.mode = m.ap;
-      cfg.ap.qdisc = m.qdisc;
-      cfg.competing_bulk_flows = flows;
-      const auto r = app::run_scenario(cfg);
+      auto spec = rtc_spec(SpecFlowKind::kRtpGcc, m.ap, dur, 7);
+      spec.warmup_s = measure_from.to_seconds();
+      spec.stations.front().trace = shared(trace::constant_trace(30e6, dur));
+      spec.stations.front().qdisc = m.qdisc;
+      for (int i = 0; i < flows; ++i) {
+        spec.flows.push_back(app::SpecFlow{.kind = SpecFlowKind::kTcpBulk});
+      }
+      const auto r = app::run_multi_station(spec);
       row.push_back(degradation_after(r, measure_from, dur));
     }
     table.push_back(row);

@@ -31,17 +31,12 @@ int main(int argc, char** argv) {
   for (const auto& m : modes) {
     std::vector<Degradation> row;
     for (int n : interferers) {
-      app::ScenarioConfig cfg;
-      cfg.channel_trace = nullptr;  // PHY mode: MCS 7 = 65 Mbps shared
-      cfg.mcs_index = 7;
-      cfg.interferers = n;
-      cfg.duration = dur;
-      cfg.warmup = measure_from;
-      cfg.seed = 7;
-      cfg.protocol = Protocol::kRtp;
-      cfg.ap.mode = m.ap;
-      cfg.ap.qdisc = m.qdisc;
-      const auto r = app::run_scenario(cfg);
+      // PHY mode: MCS 7 = 65 Mbps shared with the interferers.
+      auto spec = rtc_spec(SpecFlowKind::kRtpGcc, m.ap, dur, 7);
+      spec.warmup_s = measure_from.to_seconds();
+      spec.interferers = n;
+      spec.stations.front().qdisc = m.qdisc;
+      const auto r = app::run_multi_station(spec);
       row.push_back(degradation_after(r, measure_from, dur));
     }
     table.push_back(row);

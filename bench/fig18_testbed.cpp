@@ -13,30 +13,29 @@ using namespace zhuge::bench;
 
 namespace {
 
-app::ScenarioResult run_case(const char* scenario, ApMode mode, std::uint64_t seed,
-                             const trace::Trace* office) {
-  app::ScenarioConfig cfg;
-  cfg.duration = Duration::seconds(240);
-  cfg.warmup = Duration::seconds(5);
-  cfg.seed = seed;
-  cfg.protocol = Protocol::kRtp;
-  cfg.ap.mode = mode;
+MultiStationResult run_case(const char* scenario, ApMode mode, std::uint64_t seed,
+                            const std::shared_ptr<const trace::Trace>& office) {
+  const Duration dur = Duration::seconds(240);
+  ScenarioSpec spec = rtc_spec(SpecFlowKind::kRtpGcc, mode, dur, seed);
+  app::StationGroupSpec& station = spec.stations.front();
   if (std::string(scenario) == "scp") {
-    cfg.channel_trace = nullptr;
-    cfg.mcs_index = 4;  // 39 Mbps
-    cfg.scp_periodic_competitor = true;
+    // A bulk transfer on for 30 s, off for 30 s: [30, 60), [90, 120), ...
+    station.mcs = 4;  // 39 Mbps
+    for (double on = 30.0; on < dur.to_seconds(); on += 60.0) {
+      spec.flows.push_back(app::SpecFlow{
+          .kind = SpecFlowKind::kTcpBulk, .start_s = on, .stop_s = on + 30.0});
+    }
   } else if (std::string(scenario) == "mcs") {
-    cfg.channel_trace = nullptr;
-    cfg.mcs_index = 5;
-    cfg.mcs_random_switch = true;
+    station.mcs = 5;
+    station.mcs_reroll_s = 30.0;
     // At 2 Mbps even MCS0 (6.5 Mbps) never congests; stream a richer
     // video so the MCS drops actually bite, as they do on the paper's
     // testbed where the channel carries background office traffic too.
-    cfg.video.max_bitrate_bps = 12e6;
+    spec.flows.front().max_bitrate_mbps = 12.0;
   } else {  // raw: crowded-office channel
-    cfg.channel_trace = office;
+    station.trace = office;
   }
-  return app::run_scenario(cfg);
+  return app::run_multi_station(spec);
 }
 
 }  // namespace
@@ -44,8 +43,8 @@ app::ScenarioResult run_case(const char* scenario, ApMode mode, std::uint64_t se
 int main(int argc, char** argv) {
   zhuge::bench::ObsSession obs_session(argc, argv);
   std::printf("=== Fig. 18: testbed-style scenarios (scp / mcs / raw) ===\n");
-  const auto office = trace::make_trace(trace::TraceKind::kOfficeWifi, 31,
-                                        Duration::seconds(240));
+  const auto office = shared(trace::make_trace(trace::TraceKind::kOfficeWifi, 31,
+                                               Duration::seconds(240)));
 
   std::printf("\n  %-9s %-7s %14s %14s %12s\n", "scenario", "mode", "RTT>200ms",
               "Frame>400ms", "bitrate(Mbps)");
@@ -54,7 +53,7 @@ int main(int argc, char** argv) {
     TailMetrics zhuge_m;
     for (int pass = 0; pass < 2; ++pass) {
       const ApMode mode = pass == 0 ? ApMode::kNone : ApMode::kZhuge;
-      const auto m = tail_metrics(run_case(scenario, mode, 9, &office));
+      const auto m = tail_metrics(run_case(scenario, mode, 9, office));
       (pass == 0 ? base : zhuge_m) = m;
       std::printf("  %-9s %-7s %13.3f%% %13.3f%% %12.2f\n", scenario,
                   mode_name(mode), 100.0 * m.rtt_gt_200, 100.0 * m.fd_gt_400,

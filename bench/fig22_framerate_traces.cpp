@@ -26,13 +26,11 @@ int main(int argc, char** argv) {
     for (const auto& m : rtp_modes) {
       const auto metrics = averaged_tails(
           [&](int s) {
-            const auto tr =
-                trace::make_trace(kind, 13u * static_cast<unsigned>(s), dur);
-            auto cfg = trace_config(tr, kind, dur, static_cast<std::uint64_t>(s));
-            cfg.protocol = Protocol::kRtp;
-            cfg.ap.mode = m.ap;
-            cfg.ap.qdisc = m.qdisc;
-            return app::run_scenario(cfg);
+            auto spec = trace_spec(
+                shared(trace::make_trace(kind, 13u * static_cast<unsigned>(s), dur)),
+                kind, SpecFlowKind::kRtpGcc, m.ap, dur, static_cast<std::uint64_t>(s));
+            spec.stations.front().qdisc = m.qdisc;
+            return app::run_multi_station(spec);
           },
           seeds);
       std::printf(" %11.3f%%", 100.0 * metrics.fps_lt_10);
@@ -44,24 +42,20 @@ int main(int argc, char** argv) {
               "trace", "Copa", "Copa+FastAck", "ABC", "Copa+Zhuge");
   struct TcpMode {
     ApMode ap;
-    TcpCcaKind cca;
+    SpecFlowKind cca;
   };
-  const std::vector<TcpMode> tcp_modes = {{ApMode::kNone, TcpCcaKind::kCopa},
-                                          {ApMode::kFastAck, TcpCcaKind::kCopa},
-                                          {ApMode::kAbc, TcpCcaKind::kAbc},
-                                          {ApMode::kZhuge, TcpCcaKind::kCopa}};
+  const std::vector<TcpMode> tcp_modes = {{ApMode::kNone, SpecFlowKind::kTcpCopa},
+                                          {ApMode::kFastAck, SpecFlowKind::kTcpCopa},
+                                          {ApMode::kAbc, SpecFlowKind::kTcpAbc},
+                                          {ApMode::kZhuge, SpecFlowKind::kTcpCopa}};
   for (const auto kind : kPaperTraces) {
     std::printf("  %-10s", trace::short_name(kind));
     for (const auto& m : tcp_modes) {
       const auto metrics = averaged_tails(
           [&](int s) {
-            const auto tr =
-                trace::make_trace(kind, 13u * static_cast<unsigned>(s), dur);
-            auto cfg = trace_config(tr, kind, dur, static_cast<std::uint64_t>(s));
-            cfg.protocol = Protocol::kTcp;
-            cfg.tcp_cca = m.cca;
-            cfg.ap.mode = m.ap;
-            return app::run_scenario(cfg);
+            return app::run_multi_station(trace_spec(
+                shared(trace::make_trace(kind, 13u * static_cast<unsigned>(s), dur)),
+                kind, m.cca, m.ap, dur, static_cast<std::uint64_t>(s)));
           },
           seeds);
       std::printf(" %11.3f%%", 100.0 * metrics.fps_lt_10);

@@ -17,26 +17,24 @@ int main(int argc, char** argv) {
   struct Mode {
     const char* label;
     ApMode ap;
-    TcpCcaKind cca;
+    SpecFlowKind cca;
   };
   const std::vector<Mode> modes = {
-      {"Copa", ApMode::kNone, TcpCcaKind::kCopa},
-      {"ABC", ApMode::kAbc, TcpCcaKind::kAbc},
-      {"Copa+Zhuge", ApMode::kZhuge, TcpCcaKind::kCopa},
+      {"Copa", ApMode::kNone, SpecFlowKind::kTcpCopa},
+      {"ABC", ApMode::kAbc, SpecFlowKind::kTcpAbc},
+      {"Copa+Zhuge", ApMode::kZhuge, SpecFlowKind::kTcpCopa},
   };
 
   std::vector<TailMetrics> cols;
   for (const auto& m : modes) {
     cols.push_back(averaged_tails(
         [&](int s) {
-          const auto tr = trace::make_trace(kind, 13u * static_cast<unsigned>(s), dur);
-          auto cfg = trace_config(tr, kind, dur, static_cast<std::uint64_t>(s));
-          cfg.protocol = Protocol::kTcp;
-          cfg.tcp_cca = m.cca;
-          cfg.ap.mode = m.ap;
+          auto spec = trace_spec(
+              shared(trace::make_trace(kind, 13u * static_cast<unsigned>(s), dur)),
+              kind, m.cca, m.ap, dur, static_cast<std::uint64_t>(s));
           // The legacy links average ~2.5 Mbps; keep the video within reach.
-          cfg.video.max_bitrate_bps = 2.0e6;
-          return app::run_scenario(cfg);
+          spec.flows.front().max_bitrate_mbps = 2.0;
+          return app::run_multi_station(spec);
         },
         seeds));
   }

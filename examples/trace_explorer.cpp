@@ -2,8 +2,8 @@
 //
 // Generates each synthetic trace class, prints its fluctuation profile
 // (the Fig. 3(b) statistic), exports one to CSV, reloads it, and runs a
-// quick scenario on the reloaded copy — the workflow for plugging in your
-// own measured traces.
+// quick scenario on the exported file through a spec's "trace_csv" key —
+// the workflow for plugging in your own measured traces.
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "app/scenario.hpp"
 #include "obs/session.hpp"
@@ -47,17 +48,24 @@ int main(int argc, char** argv) {
   std::printf("\nexported %zu samples to %s and reloaded them\n",
               original.samples().size(), path.c_str());
 
-  // Drive a scenario with the reloaded trace.
-  app::ScenarioConfig cfg;
-  cfg.channel_trace = &reloaded;
-  cfg.ap.mode = app::ApMode::kZhuge;
-  cfg.duration = sim::Duration::seconds(60);
-  cfg.seed = 1;
-  const auto r = app::run_scenario(cfg);
+  // Drive a scenario with the exported file: a spec's "trace_csv" key
+  // loads it as the station's downlink channel.
+  const std::string spec_text = R"({
+    "name": "trace_explorer", "duration_s": 60, "seed": 1, "ap_mode": "zhuge",
+    "stations": [ { "trace_csv": ")" + path + R"(" } ],
+    "flows": [ { "kind": "rtp_gcc", "zhuge": true, "fps": 24 } ]
+  })";
+  std::string err;
+  const auto spec = app::parse_scenario_spec(spec_text, &err);
+  if (!spec.has_value()) {
+    std::fprintf(stderr, "bad spec: %s\n", err.c_str());
+    return 1;
+  }
+  const auto r = app::run_multi_station(*spec);
   std::printf("60 s GCC/RTP run on the reloaded trace with Zhuge: "
               "P99 RTT %.1f ms, %llu frames decoded\n",
-              r.primary().network_rtt_ms.quantile(0.99),
-              static_cast<unsigned long long>(r.primary().frames_decoded));
+              r.flows.front().network_rtt_ms.quantile(0.99),
+              static_cast<unsigned long long>(r.flows.front().frames_decoded));
   std::filesystem::remove(path);
   return 0;
 }

@@ -18,22 +18,30 @@ using namespace zhuge;
 
 namespace {
 
-app::ScenarioResult run(app::ApMode mode, app::QdiscKind qdisc) {
-  app::ScenarioConfig cfg;
-  cfg.protocol = app::Protocol::kRtp;   // WebRTC-style media + TWCC feedback
-  cfg.ap.mode = mode;
-  cfg.ap.qdisc = qdisc;
-  cfg.mcs_index = 4;                    // 39 Mbps PHY, shared with the bulk flow
-  cfg.scp_periodic_competitor = true;   // file transfer toggles every 30 s
-  cfg.video.fps = 24;
-  cfg.video.max_bitrate_bps = 2.5e6;    // 1080p conference stream
-  cfg.duration = sim::Duration::seconds(180);
-  cfg.seed = 2024;
-  return app::run_scenario(cfg);
+app::MultiStationResult run(app::ApMode mode, app::QdiscKind qdisc) {
+  app::ScenarioSpec spec;
+  spec.name = "video_conference";
+  spec.duration_s = 180;
+  spec.seed = 2024;
+  spec.ap_mode = mode;
+  // 39 Mbps PHY (MCS 4), shared with the file transfer.
+  spec.stations.push_back(app::StationGroupSpec{.mcs = 4, .qdisc = qdisc});
+  // WebRTC-style media + TWCC feedback: a 1080p24 conference stream.
+  spec.flows.push_back(app::SpecFlow{.kind = app::SpecFlowKind::kRtpGcc,
+                                     .zhuge = true,
+                                     .max_bitrate_mbps = 2.5,
+                                     .fps = 24});
+  // The file transfer (a CUBIC bulk flow) runs every other 30 s.
+  for (double on = 30; on < spec.duration_s; on += 60) {
+    spec.flows.push_back(app::SpecFlow{.kind = app::SpecFlowKind::kTcpBulk,
+                                       .start_s = on,
+                                       .stop_s = on + 30});
+  }
+  return app::run_multi_station(spec);
 }
 
-void report(const char* label, const app::ScenarioResult& r) {
-  const auto& f = r.primary();
+void report(const char* label, const app::MultiStationResult& r) {
+  const auto& f = r.flows.front();
   std::printf("  %-12s P50 RTT %5.1f ms | P99 RTT %6.1f ms | RTT>200ms %6.3f%% | "
               "frame>400ms %6.3f%% | %4llu/%llu frames\n",
               label, f.network_rtt_ms.quantile(0.5), f.network_rtt_ms.quantile(0.99),

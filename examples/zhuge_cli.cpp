@@ -7,13 +7,16 @@
 //   ./build/examples/zhuge_cli --channel my.csv --protocol tcp --mode fastack
 //   ./build/examples/zhuge_cli --help
 //
-// Prints the paper's headline metrics for the run. Like every other
-// entrypoint, accepts --trace/--metrics (obs::ObsSession) for
-// observability output.
+// Builds a one-station ScenarioSpec from the flags and prints the paper's
+// headline metrics for the run. Like every other entrypoint, accepts
+// --trace/--metrics (obs::ObsSession) for observability output; the trace
+// carries the RTC flow's per-packet "app"/"rtt" events and 50 ms "sample"
+// events (the spec records flow 0 as its series flow).
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -28,8 +31,7 @@ namespace {
 struct Options {
   std::string channel = "W1";
   std::string protocol = "rtp";
-  std::string cca = "copa";     // TCP only; RTP uses gcc/nada
-  std::string rtp_cca = "gcc";
+  std::string cca = "copa";     // TCP only; RTP uses GCC
   std::string mode = "none";    // none | zhuge | fastack | abc
   std::string qdisc = "fifo";   // fifo | codel | fq_codel
   double duration_s = 60.0;
@@ -46,7 +48,6 @@ void usage() {
       "  --channel <W1|W2|C1|C2|C3|ETH|path.csv> channel (default W1)\n"
       "  --protocol <rtp|tcp>                    transport (default rtp)\n"
       "  --cca <copa|bbr|cubic|abc>              TCP CCA (default copa)\n"
-      "  --rtp-cca <gcc|nada|scream>             RTP controller (default gcc)\n"
       "  --mode <none|zhuge|fastack|abc>         AP optimisation (default none)\n"
       "  --qdisc <fifo|codel|fq_codel>           AP queue (default fifo)\n"
       "  --duration <seconds>                    run length (default 60)\n"
@@ -84,7 +85,6 @@ bool parse(int argc, char** argv, Options& opt) {
     else if (flag == "--channel") opt.channel = value();
     else if (flag == "--protocol") opt.protocol = value();
     else if (flag == "--cca") opt.cca = value();
-    else if (flag == "--rtp-cca") opt.rtp_cca = value();
     else if (flag == "--mode") opt.mode = value();
     else if (flag == "--qdisc") opt.qdisc = value();
     else if (flag == "--duration") opt.duration_s = std::atof(value());
@@ -111,54 +111,60 @@ int main(int argc, char** argv) {
   }
 
   const auto dur = sim::Duration::from_seconds(opt.duration_s);
-  trace::Trace tr;
-  app::LinkKind link = app::LinkKind::kWifi;
+  app::StationGroupSpec station;
   if (const auto kind = builtin_trace(opt.channel); kind.has_value()) {
-    tr = trace::make_trace(*kind, opt.seed * 13, dur);
-    link = (*kind == trace::TraceKind::kRestaurantWifi ||
-            *kind == trace::TraceKind::kOfficeWifi ||
-            *kind == trace::TraceKind::kEthernet)
-               ? app::LinkKind::kWifi
-               : app::LinkKind::kCellular;
+    station.trace = std::make_shared<const trace::Trace>(
+        trace::make_trace(*kind, opt.seed * 13, dur));
+    station.link = (*kind == trace::TraceKind::kRestaurantWifi ||
+                    *kind == trace::TraceKind::kOfficeWifi ||
+                    *kind == trace::TraceKind::kEthernet)
+                       ? app::LinkKind::kWifi
+                       : app::LinkKind::kCellular;
   } else {
     try {
-      tr = trace::load_csv(opt.channel, opt.channel);
+      station.trace = std::make_shared<const trace::Trace>(
+          trace::load_csv(opt.channel, opt.channel));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "cannot load trace: %s\n", e.what());
       return 1;
     }
   }
+  if (opt.qdisc == "codel") station.qdisc = app::QdiscKind::kCoDel;
+  else if (opt.qdisc == "fq_codel") station.qdisc = app::QdiscKind::kFqCoDel;
 
-  app::ScenarioConfig cfg;
-  cfg.channel_trace = &tr;
-  cfg.ap.link = link;
-  cfg.duration = dur;
-  cfg.seed = opt.seed;
-  cfg.video.max_bitrate_bps = opt.max_bitrate_mbps * 1e6;
-  cfg.competing_bulk_flows = opt.competitors;
-  cfg.interferers = opt.interferers;
+  app::ScenarioSpec spec;
+  spec.name = "zhuge_cli";
+  spec.duration_s = opt.duration_s;
+  spec.seed = opt.seed;
+  spec.interferers = opt.interferers;
+  spec.stations.push_back(station);
 
-  cfg.protocol = opt.protocol == "tcp" ? app::Protocol::kTcp : app::Protocol::kRtp;
-  if (opt.rtp_cca == "nada") cfg.rtp_cca = transport::RtpCca::kNada;
-  else if (opt.rtp_cca == "scream") cfg.rtp_cca = transport::RtpCca::kScream;
-  else cfg.rtp_cca = transport::RtpCca::kGcc;
-  if (opt.cca == "bbr") cfg.tcp_cca = app::TcpCcaKind::kBbr;
-  else if (opt.cca == "cubic") cfg.tcp_cca = app::TcpCcaKind::kCubic;
-  else if (opt.cca == "abc") cfg.tcp_cca = app::TcpCcaKind::kAbc;
-  else cfg.tcp_cca = app::TcpCcaKind::kCopa;
-
-  if (opt.mode == "zhuge") cfg.ap.mode = app::ApMode::kZhuge;
-  else if (opt.mode == "fastack") cfg.ap.mode = app::ApMode::kFastAck;
-  else if (opt.mode == "abc") {
-    cfg.ap.mode = app::ApMode::kAbc;
-    cfg.tcp_cca = app::TcpCcaKind::kAbc;  // ABC needs its sender half
+  app::SpecFlow rtc;
+  rtc.zhuge = true;
+  rtc.fps = 24;
+  rtc.max_bitrate_mbps = opt.max_bitrate_mbps;
+  if (opt.protocol == "tcp") {
+    if (opt.cca == "bbr") rtc.kind = app::SpecFlowKind::kTcpBbr;
+    else if (opt.cca == "cubic") rtc.kind = app::SpecFlowKind::kTcpCubic;
+    else if (opt.cca == "abc") rtc.kind = app::SpecFlowKind::kTcpAbc;
+    else rtc.kind = app::SpecFlowKind::kTcpCopa;
   }
 
-  if (opt.qdisc == "codel") cfg.ap.qdisc = app::QdiscKind::kCoDel;
-  else if (opt.qdisc == "fq_codel") cfg.ap.qdisc = app::QdiscKind::kFqCoDel;
+  spec.ap_mode = app::ApMode::kNone;
+  if (opt.mode == "zhuge") spec.ap_mode = app::ApMode::kZhuge;
+  else if (opt.mode == "fastack") spec.ap_mode = app::ApMode::kFastAck;
+  else if (opt.mode == "abc") {
+    spec.ap_mode = app::ApMode::kAbc;
+    if (opt.protocol == "tcp") rtc.kind = app::SpecFlowKind::kTcpAbc;  // its sender half
+  }
+  spec.flows.push_back(rtc);
+  for (int i = 0; i < opt.competitors; ++i) {
+    spec.flows.push_back(app::SpecFlow{.kind = app::SpecFlowKind::kTcpBulk});
+  }
+  spec.series_flow = 0;
 
-  const auto r = app::run_scenario(cfg);
-  const auto& f = r.primary();
+  const auto r = app::run_multi_station(spec);
+  const auto& f = r.flows.front();
   std::printf("channel=%s protocol=%s mode=%s qdisc=%s seed=%llu (%.0fs)\n",
               opt.channel.c_str(), opt.protocol.c_str(), opt.mode.c_str(),
               opt.qdisc.c_str(), static_cast<unsigned long long>(opt.seed),
@@ -170,14 +176,14 @@ int main(int argc, char** argv) {
               f.frame_delay_ms.quantile(0.5), f.frame_delay_ms.quantile(0.99),
               100.0 * f.frame_delay_ms.ratio_above(400.0));
   std::printf("  frame rate      p50 %6.1f fps  <10fps %6.3f%%\n",
-              f.frame_rate_fps.quantile(0.5),
-              100.0 * f.frame_rate_fps.ratio_below(10.0));
+              r.series->frame_rate_fps.quantile(0.5),
+              100.0 * r.series->frame_rate_fps.ratio_below(10.0));
   std::printf("  goodput %.2f Mbps, %llu/%llu frames decoded, %llu qdisc drops\n",
               f.goodput_bps / 1e6,
               static_cast<unsigned long long>(f.frames_decoded),
               static_cast<unsigned long long>(f.frames_sent),
               static_cast<unsigned long long>(r.qdisc_drops));
-  if (cfg.ap.mode == app::ApMode::kZhuge && !r.prediction_error_ms.empty()) {
+  if (spec.ap_mode == app::ApMode::kZhuge && !r.prediction_error_ms.empty()) {
     std::printf("  fortune teller  median error %.2f ms over %zu predictions\n",
                 r.prediction_error_ms.quantile(0.5), r.prediction_error_ms.count());
   }

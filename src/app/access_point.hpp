@@ -1,11 +1,13 @@
 #pragma once
-// The last-mile access point: downlink qdisc + wireless link + optional
-// in-AP optimisation (Zhuge, FastAck, or the ABC router). This is the only
-// box the paper modifies — everything else (server, client) runs stock.
+// The last-mile access point: one downlink qdisc + wireless link per
+// associated station, plus optional in-AP optimisation (Zhuge, FastAck, or
+// the ABC router). This is the only box the paper modifies — everything
+// else (server, client) runs stock.
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -41,61 +43,63 @@ enum class QdiscKind : std::uint8_t { kFifo, kCoDel, kFqCoDel };
 /// Last-hop technology.
 enum class LinkKind : std::uint8_t { kWifi, kCellular };
 
-/// A wireless access point with a pluggable downlink qdisc, a wireless
-/// last hop, and an optional AP-side optimisation module.
+/// A wireless access point: every associated station gets its own
+/// downlink qdisc and wireless link, and an optional AP-side optimisation
+/// module sees every station's traffic.
 class AccessPoint {
  public:
   struct Config {
     ApMode mode = ApMode::kNone;
-    QdiscKind qdisc = QdiscKind::kFifo;
-    LinkKind link = LinkKind::kWifi;
-    std::int64_t queue_limit_bytes = 300 * 1500;  ///< FIFO bufferbloat depth
-    wireless::WifiLink::Config wifi{};
-    wireless::CellularLink::Config cellular{};
     core::ZhugeConfig zhuge{};
     baseline::AbcRouter::Config abc{};
     baseline::FastAck::Config fastack{};
   };
 
-  /// `to_client` receives packets that crossed the wireless downlink;
-  /// `to_server` is the AP's wired uplink towards the WAN.
+  /// `to_client` receives packets that crossed a station's wireless
+  /// downlink; `to_server` is the AP's wired uplink towards the WAN.
+  /// `medium` is the shared CSMA channel every WiFi station contends on.
   AccessPoint(sim::Simulator& simulator, sim::Rng& rng,
-              wireless::Channel& channel, wireless::Medium& medium, Config cfg,
-              PacketHandler to_client, PacketHandler to_server);
+              wireless::Medium& medium, Config cfg, PacketHandler to_client,
+              PacketHandler to_server);
 
-  /// Per-station downlink attachment for multi-station scenarios: each
-  /// station gets its own qdisc + AMPDU WifiLink contending on the AP's
-  /// shared CSMA medium (so airtime is split the way the paper's testbed
-  /// splits it, not per-flow).
+  /// Per-station downlink attachment: a qdisc plus either an AMPDU
+  /// WifiLink contending on the AP's shared CSMA medium (so airtime is
+  /// split the way the paper's testbed splits it, not per-flow) or a
+  /// TTI-scheduled CellularLink with its own queue.
   struct StationConfig {
     QdiscKind qdisc = QdiscKind::kFifo;
-    std::int64_t queue_limit_bytes = 300 * 1500;
+    std::int64_t queue_limit_bytes = 300 * 1500;  ///< FIFO bufferbloat depth
+    LinkKind link = LinkKind::kWifi;
     wireless::WifiLink::Config wifi{};
   };
 
   /// Attach a station reachable at client IP `ip`. Downlink packets whose
   /// `flow.dst_ip == ip` are routed through the station's own qdisc and
-  /// wireless link instead of the default one; `channel` models that
-  /// station's PHY (per-station MCS/fade) and must outlive the AP.
+  /// wireless link; packets for an IP no station holds are black-holed
+  /// like those of a quiesced station. `channel` models the station's PHY
+  /// (per-station MCS/fade/trace) and must outlive the AP.
   void register_station(std::uint32_t ip, wireless::Channel& channel,
                         const StationConfig& cfg);
 
   /// Quiesce a station: unregister its RTC flows (flushing held feedback),
   /// drop everything still queued for it, and black-hole subsequent
-  /// downlink arrivals. The WifiLink object itself stays alive until the
-  /// AP is destroyed — the CSMA medium may still hold a grant callback for
-  /// it, so destroying it here would dangle. Returns feedback packets
-  /// flushed from optimiser state.
+  /// downlink arrivals. The link object itself stays alive until the AP is
+  /// destroyed — the CSMA medium or the TTI clock may still hold a
+  /// callback for it, so destroying it here would dangle. Returns feedback
+  /// packets flushed from optimiser state.
   std::size_t unregister_station(std::uint32_t ip);
 
-  /// The station's wireless link (airtime, delivery counters), or nullptr
-  /// if `ip` was never registered. Valid for quiesced stations too.
-  [[nodiscard]] wireless::WifiLink* station_link(std::uint32_t ip);
+  /// Downlink counters of one station (valid for quiesced stations too).
+  struct StationStats {
+    Duration airtime = Duration::zero();  ///< CSMA airtime; 0 for cellular
+    std::uint64_t qdisc_drops = 0;
+    std::uint64_t delivered_packets = 0;
+  };
+  /// nullopt if `ip` was never registered.
+  [[nodiscard]] std::optional<StationStats> station_stats(std::uint32_t ip);
 
-  /// Number of currently active (non-quiesced) stations.
-  [[nodiscard]] std::size_t active_station_count() const;
-
-  /// Downlink packets black-holed because their station was quiesced.
+  /// Downlink packets black-holed because no active station holds their
+  /// destination IP (quiesced, or never associated).
   [[nodiscard]] std::uint64_t quiesced_drops() const { return quiesced_drops_; }
 
   /// Downlink entry: a packet arrives from the WAN (Ethernet port).
@@ -162,23 +166,30 @@ class AccessPoint {
     return n;
   }
 
-  [[nodiscard]] queue::Qdisc& downlink_qdisc() { return *qdisc_; }
+  /// The queue holding `ip`'s downlink traffic, or nullptr if no station
+  /// was registered there.
+  [[nodiscard]] const queue::Qdisc* station_qdisc(std::uint32_t ip);
   [[nodiscard]] core::ZhugeFlow* zhuge_flow(const net::FlowId& flow);
   [[nodiscard]] std::uint64_t uplink_delayed() const { return uplink_delayed_; }
   [[nodiscard]] std::uint64_t uplink_dropped() const { return uplink_dropped_; }
-  [[nodiscard]] wireless::WifiLink* wifi_link() { return wifi_link_.get(); }
 
  private:
+  /// One associated station: its queue and exactly one of the two links.
   struct Station {
     QdiscKind kind = QdiscKind::kFifo;
     std::unique_ptr<queue::Qdisc> qdisc;
-    std::unique_ptr<wireless::WifiLink> link;
+    std::unique_ptr<wireless::WifiLink> wifi;
+    std::unique_ptr<wireless::CellularLink> cellular;
     bool active = true;
+
+    bool offer(Packet&& p) {
+      return wifi != nullptr ? wifi->offer(std::move(p))
+                             : cellular->offer(std::move(p));
+    }
   };
 
   void send_feedback(Packet&& p);
   void retire_flow_stats(const net::FlowId& flow, core::ZhugeFlow& zf);
-  void on_qdisc_dequeue(const Packet& p, TimePoint now);
   void on_station_dequeue(Station& st, std::uint32_t ip, const Packet& p,
                           TimePoint now);
   void on_wireless_delivered(const Packet& p, TimePoint now);
@@ -191,10 +202,6 @@ class AccessPoint {
   wireless::Medium& medium_;
   PacketHandler to_client_;  ///< copy shared with every station link
   PacketHandler to_server_;
-
-  std::unique_ptr<queue::Qdisc> qdisc_;
-  std::unique_ptr<wireless::WifiLink> wifi_link_;
-  std::unique_ptr<wireless::CellularLink> cellular_link_;
 
   /// Stations keyed by client IP, looked up on every downlink packet.
   /// Key-ordered: quiesce/teardown walk this and emit packets, so

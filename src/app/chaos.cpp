@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <iterator>
+#include <memory>
 #include <utility>
 
 #include "app/spec.hpp"
@@ -19,26 +20,30 @@ TimePoint at(double seconds) {
   return TimePoint::zero() + Duration::from_seconds(seconds);
 }
 
-/// Common healthy baseline every case perturbs: RTP/GCC through a Zhuge
-/// AP over a steady MCS-7 Wi-Fi channel, 25 s run with a 5 s warmup.
-/// MCS mode (no external trace) keeps the suite self-contained.
-ScenarioConfig chaos_base(std::uint64_t seed) {
-  ScenarioConfig cfg;
-  cfg.protocol = Protocol::kRtp;
-  cfg.ap.mode = ApMode::kZhuge;
-  cfg.ap.qdisc = QdiscKind::kFifo;
-  cfg.mcs_index = 7;
-  cfg.duration = Duration::seconds(25);
-  cfg.warmup = Duration::seconds(5);
-  cfg.seed = seed;
-  return cfg;
+/// Common healthy baseline every case perturbs: one 1080p24 RTP/GCC flow
+/// through a Zhuge AP over a steady MCS-7 Wi-Fi channel, 25 s run with a
+/// 5 s warmup, flow 0's series recorded for the verdict. MCS mode (no
+/// external trace) keeps the suite self-contained.
+ScenarioSpec chaos_base(std::uint64_t seed) {
+  ScenarioSpec spec;
+  spec.name = "chaos";
+  spec.duration_s = 25.0;
+  spec.warmup_s = 5.0;
+  spec.seed = seed;
+  spec.ap_mode = ApMode::kZhuge;
+  spec.stations.push_back(StationGroupSpec{.count = 1, .mcs = 7});
+  spec.flows.push_back(SpecFlow{.kind = SpecFlowKind::kRtpGcc, .zhuge = true,
+                                .fps = 24.0});
+  spec.series_flow = 0;
+  return spec;
 }
 
 ChaosCase make_case(std::string name, std::uint64_t seed, double start_s,
                     double end_s) {
   ChaosCase c;
   c.name = std::move(name);
-  c.config = chaos_base(seed);
+  c.spec = chaos_base(seed);
+  c.spec.name = c.name;
   c.fault_start = at(start_s);
   c.fault_end = at(end_s);
   return c;
@@ -51,65 +56,77 @@ std::vector<ChaosCase> standard_chaos_suite(std::uint64_t seed) {
 
   {  // Downlink wireless blackout: the client vanishes for 1.5 s.
     ChaosCase c = make_case("downlink_blackout", seed, 10.0, 11.5);
-    c.config.faults.downlink_wireless.blackouts = {
-        Window{c.fault_start, c.fault_end}};
+    fault::FaultPlan f;
+    f.downlink_wireless.blackouts = {Window{c.fault_start, c.fault_end}};
     // 1.5 s of total loss drops every in-flight packet; give GCC's ramp
     // room before judging recovery (same reasoning as uplink_starvation).
-    c.config.duration = Duration::seconds(30);
+    c.spec.duration_s = 30.0;
     c.post_settle = Duration::seconds(6);
+    c.spec.faults = std::make_shared<const fault::FaultPlan>(std::move(f));
     suite.push_back(std::move(c));
   }
 
   {  // Uplink feedback starvation: every client->AP packet dies for 2 s
      // while downlink data keeps flowing. The watchdog MUST fail open.
     ChaosCase c = make_case("uplink_starvation", seed, 10.0, 12.0);
-    c.config.faults.uplink_wireless.blackouts = {
-        Window{c.fault_start, c.fault_end}};
+    fault::FaultPlan f;
+    f.uplink_wireless.blackouts = {Window{c.fault_start, c.fault_end}};
     c.expect_degrade = true;
     // Two seconds with zero feedback drives GCC to its rate floor; the
     // ramp back is deliberately slow, so judge recovery once it is done.
-    c.config.duration = Duration::seconds(35);
+    c.spec.duration_s = 35.0;
     c.post_settle = Duration::seconds(8);
+    c.spec.faults = std::make_shared<const fault::FaultPlan>(std::move(f));
     suite.push_back(std::move(c));
   }
 
   {  // Gilbert-Elliott burst loss on the WAN downlink for 3 s.
     ChaosCase c = make_case("wan_burst_loss", seed, 10.0, 13.0);
-    c.config.faults.downlink_wan.burst =
+    fault::FaultPlan f;
+    f.downlink_wan.burst =
         fault::GilbertElliott{/*p_enter_bad=*/0.02, /*p_exit_bad=*/0.25,
                               /*loss_good=*/0.0, /*loss_bad=*/0.5};
-    c.config.faults.downlink_wan.active = {Window{c.fault_start, c.fault_end}};
+    f.downlink_wan.active = {Window{c.fault_start, c.fault_end}};
+    c.spec.faults = std::make_shared<const fault::FaultPlan>(std::move(f));
     suite.push_back(std::move(c));
   }
 
   {  // Duplication + reordering on the WAN downlink for 3 s: the in-band
      // updater must still emit strictly monotone AP-built TWCC.
     ChaosCase c = make_case("dup_reorder", seed, 10.0, 13.0);
-    c.config.faults.downlink_wan.dup_prob = 0.10;
-    c.config.faults.downlink_wan.reorder_prob = 0.10;
-    c.config.faults.downlink_wan.reorder_delay = Duration::millis(5);
-    c.config.faults.downlink_wan.active = {Window{c.fault_start, c.fault_end}};
+    fault::FaultPlan f;
+    f.downlink_wan.dup_prob = 0.10;
+    f.downlink_wan.reorder_prob = 0.10;
+    f.downlink_wan.reorder_delay = Duration::millis(5);
+    f.downlink_wan.active = {Window{c.fault_start, c.fault_end}};
+    c.spec.faults = std::make_shared<const fault::FaultPlan>(std::move(f));
     suite.push_back(std::move(c));
   }
 
   {  // Uplink fade: feedback crosses the wired uplink 60 ms late for 3 s.
     ChaosCase c = make_case("uplink_fade", seed, 10.0, 13.0);
-    c.config.faults.uplink_wan.fade_delay = Duration::millis(60);
-    c.config.faults.uplink_wan.fades = {Window{c.fault_start, c.fault_end}};
+    fault::FaultPlan f;
+    f.uplink_wan.fade_delay = Duration::millis(60);
+    f.uplink_wan.fades = {Window{c.fault_start, c.fault_end}};
+    c.spec.faults = std::make_shared<const fault::FaultPlan>(std::move(f));
     suite.push_back(std::move(c));
   }
 
   {  // Mid-flow AP optimiser restart: all ZhugeFlow state wiped at 11 s.
     ChaosCase c = make_case("ap_restart", seed, 11.0, 11.0);
-    c.config.faults.ap_restarts = {c.fault_start};
+    fault::FaultPlan f;
+    f.ap_restarts = {c.fault_start};
+    c.spec.faults = std::make_shared<const fault::FaultPlan>(std::move(f));
     suite.push_back(std::move(c));
   }
 
   {  // AP clock steps 300 ms forward at 10.5 s and back at 12 s.
     ChaosCase c = make_case("clock_jump", seed, 10.5, 12.0);
-    c.config.faults.clock_jumps = {
+    fault::FaultPlan f;
+    f.clock_jumps = {
         fault::ClockJump{c.fault_start, Duration::millis(300)},
         fault::ClockJump{c.fault_end, Duration::millis(-300)}};
+    c.spec.faults = std::make_shared<const fault::FaultPlan>(std::move(f));
     suite.push_back(std::move(c));
   }
 
@@ -120,20 +137,23 @@ ChaosVerdict run_chaos_case(const ChaosCase& c, obs::Attribution* attrib_out) {
   ChaosVerdict v;
   v.name = c.name;
 
-  const ScenarioResult r = run_scenario(c.config);
+  ScenarioSpec spec = c.spec;
+  spec.series_flow = 0;
+  const MultiStationResult r = run_multi_station(spec);
   if (attrib_out != nullptr) attrib_out->merge(r.attrib);
+  const FlowSeries& series = *r.series;
 
   // Goodput recovery: compare the steady window just before the fault
   // against the window after the fault cleared and the CCA had 2 s to
   // settle. Both windows avoid warmup and the fault itself.
-  const TimePoint pre_from =
-      std::max(TimePoint::zero() + c.config.warmup, c.fault_start - Duration::seconds(3));
+  const TimePoint pre_from = std::max(at(spec.warmup_s),
+                                      c.fault_start - Duration::seconds(3));
   const TimePoint post_from = c.fault_end + c.post_settle;
-  const TimePoint run_end = TimePoint::zero() + c.config.duration;
+  const TimePoint run_end = at(spec.duration_s);
   v.pre_fault_goodput_bps =
-      r.goodput_series_bps.time_weighted_mean(pre_from, c.fault_start);
+      series.goodput_bps.time_weighted_mean(pre_from, c.fault_start);
   v.post_fault_goodput_bps =
-      r.goodput_series_bps.time_weighted_mean(post_from, run_end);
+      series.goodput_bps.time_weighted_mean(post_from, run_end);
   v.recovery_ratio = v.pre_fault_goodput_bps > 0.0
                          ? v.post_fault_goodput_bps / v.pre_fault_goodput_bps
                          : 0.0;
@@ -153,9 +173,9 @@ ChaosVerdict run_chaos_case(const ChaosCase& c, obs::Attribution* attrib_out) {
   si.fault_start_ns = c.fault_start.count_ns();
   si.fault_end_ns = c.fault_end.count_ns();
   si.run_end_ns = run_end.count_ns();
-  si.video_fps = c.config.video.fps;
-  si.frames.reserve(r.frame_delay_series_ms.points().size());
-  for (const auto& p : r.frame_delay_series_ms.points()) {
+  si.video_fps = spec.flows.front().fps;
+  si.frames.reserve(series.frame_delay_ms.points().size());
+  for (const auto& p : series.frame_delay_ms.points()) {
     si.frames.push_back(obs::FramePoint{p.t.count_ns(), p.value});
   }
   v.slo = obs::compute_recovery_slo(si);
@@ -249,14 +269,12 @@ std::string verdict_json(const ChaosVerdict& v) {
 std::vector<ChaosCase> chaos_matrix(std::uint64_t seed) {
   struct MatrixCca {
     const char* name;
-    Protocol protocol;
-    TcpCcaKind tcp;
+    SpecFlowKind kind;
   };
-  // tcp field is unused for the RTP/GCC row.
   static constexpr MatrixCca kCcas[] = {
-      {"gcc", Protocol::kRtp, TcpCcaKind::kCubic},
-      {"cubic", Protocol::kTcp, TcpCcaKind::kCubic},
-      {"bbr", Protocol::kTcp, TcpCcaKind::kBbr},
+      {"gcc", SpecFlowKind::kRtpGcc},
+      {"cubic", SpecFlowKind::kTcpCubic},
+      {"bbr", SpecFlowKind::kTcpBbr},
   };
 
   struct MatrixProfile {
@@ -299,34 +317,35 @@ std::vector<ChaosCase> chaos_matrix(std::uint64_t seed) {
         ChaosCase c = make_case(std::string(fk.name) + "/" + cca.name + "/" +
                                     prof.name,
                                 seed, fk.start_s, fk.end_s);
-        c.config.protocol = cca.protocol;
-        c.config.tcp_cca = cca.tcp;
-        c.config.mcs_index = prof.mcs;
-        c.config.ap.qdisc = prof.qdisc;
-        c.config.duration = Duration::from_seconds(fk.duration_s);
+        fault::FaultPlan f;
+        c.spec.flows.front().kind = cca.kind;
+        c.spec.stations.front().mcs = prof.mcs;
+        c.spec.stations.front().qdisc = prof.qdisc;
+        c.spec.duration_s = fk.duration_s;
         c.post_settle = Duration::from_seconds(fk.settle_s);
         c.expect_degrade = fk.expect_degrade;
         const Window w{c.fault_start, c.fault_end};
         switch (fk.kind) {
           case FaultKind::kLoss:
-            c.config.faults.uplink_rtcp.loss_prob = 1.0;
-            c.config.faults.uplink_rtcp.active = {w};
+            f.uplink_rtcp.loss_prob = 1.0;
+            f.uplink_rtcp.active = {w};
             break;
           case FaultKind::kDup:
-            c.config.faults.ap_feedback.dup_prob = 0.3;
-            c.config.faults.ap_feedback.active = {w};
+            f.ap_feedback.dup_prob = 0.3;
+            f.ap_feedback.active = {w};
             break;
           case FaultKind::kReorder:
-            c.config.faults.ap_feedback.reorder_prob = 0.3;
-            c.config.faults.ap_feedback.reorder_delay = Duration::millis(10);
-            c.config.faults.ap_feedback.active = {w};
+            f.ap_feedback.reorder_prob = 0.3;
+            f.ap_feedback.reorder_delay = Duration::millis(10);
+            f.ap_feedback.active = {w};
             break;
           case FaultKind::kSpike:
-            c.config.faults.uplink_rtcp.spike_prob = 0.9;
-            c.config.faults.uplink_rtcp.spike_delay = Duration::millis(120);
-            c.config.faults.uplink_rtcp.active = {w};
+            f.uplink_rtcp.spike_prob = 0.9;
+            f.uplink_rtcp.spike_delay = Duration::millis(120);
+            f.uplink_rtcp.active = {w};
             break;
         }
+        c.spec.faults = std::make_shared<const fault::FaultPlan>(std::move(f));
         cases.push_back(std::move(c));
       }
     }

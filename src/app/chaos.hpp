@@ -10,7 +10,7 @@
 // Cases that starve the uplink additionally assert the watchdog actually
 // failed open (a watchdog that never fires is indistinguishable from no
 // watchdog). Lives in src/app (not src/fault) because verdicts are
-// computed from ScenarioResult.
+// computed from MultiStationResult.
 
 #include <string>
 #include <vector>
@@ -21,10 +21,11 @@
 
 namespace zhuge::app {
 
-/// One named fault scenario.
+/// One named fault scenario: flow 0 of `spec` is the judged RTC flow and
+/// its series_flow.
 struct ChaosCase {
   std::string name;
-  ScenarioConfig config;        ///< includes config.faults
+  ScenarioSpec spec;            ///< includes spec.faults
   sim::TimePoint fault_start;   ///< recovery windows are derived from these
   sim::TimePoint fault_end;
   bool expect_degrade = false;  ///< the watchdog must fire during this case

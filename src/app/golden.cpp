@@ -10,10 +10,6 @@ namespace zhuge::app {
 
 namespace {
 
-using fault::Window;
-using sim::Duration;
-using sim::TimePoint;
-
 std::string to_hex16(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -31,65 +27,79 @@ std::optional<std::uint64_t> from_hex(const std::string& s) {
   return v;
 }
 
-/// Shared healthy baseline of the golden suite: MCS mode (self-contained,
-/// no trace files), 25 s run, 5 s warmup, seed 1. Matches the chaos
-/// harness baseline so drift in one shows up in the other.
-ScenarioConfig golden_base() {
-  ScenarioConfig cfg;
-  cfg.protocol = Protocol::kRtp;
-  cfg.ap.mode = ApMode::kZhuge;
-  cfg.ap.qdisc = QdiscKind::kFifo;
-  cfg.mcs_index = 7;
-  cfg.duration = Duration::seconds(25);
-  cfg.warmup = Duration::seconds(5);
-  cfg.seed = 1;
-  return cfg;
-}
+/// The canonical golden specs. All three share the chaos suite's healthy
+/// baseline — MCS-7 Wi-Fi (self-contained, no trace files), one 1080p24
+/// RTC flow optimised by a Zhuge AP, 25 s with a 5 s warm-up, seed 1 — so
+/// drift in one shows up in the other, and all three record flow 0's
+/// series so the fingerprint pins them too.
+struct GoldenSpec {
+  const char* name;
+  const char* json;
+};
+constexpr GoldenSpec kGoldenSpecs[] = {
+    {"rtp_zhuge_single", R"({
+  "name": "rtp_zhuge_single", "duration_s": 25, "warmup_s": 5, "seed": 1,
+  "ap_mode": "zhuge",
+  "stations": [ { "mcs": 7, "qdisc": "fifo" } ],
+  "flows": [ { "kind": "rtp_gcc", "zhuge": true, "fps": 24 } ],
+  "series_flow": 0
+})"},
+    {"tcp_mix", R"({
+  "name": "tcp_mix", "duration_s": 25, "warmup_s": 5, "seed": 1,
+  "ap_mode": "zhuge",
+  "stations": [ { "mcs": 7, "qdisc": "fifo" } ],
+  "flows": [
+    { "kind": "tcp_bbr", "zhuge": true, "fps": 24 },
+    { "kind": "tcp_bulk" },
+    { "kind": "tcp_bulk" }
+  ],
+  "series_flow": 0
+})"},
+    // The chaos suite's wan_burst_loss incident: Gilbert-Elliott burst
+    // loss on the WAN downlink from 10 s to 13 s.
+    {"chaos_burst", R"({
+  "name": "chaos_burst", "duration_s": 25, "warmup_s": 5, "seed": 1,
+  "ap_mode": "zhuge",
+  "stations": [ { "mcs": 7, "qdisc": "fifo" } ],
+  "flows": [ { "kind": "rtp_gcc", "zhuge": true, "fps": 24 } ],
+  "series_flow": 0,
+  "faults": {
+    "downlink_wan": {
+      "burst": { "p_enter_bad": 0.02, "p_exit_bad": 0.25,
+                 "loss_good": 0, "loss_bad": 0.5 },
+      "start_s": 10, "end_s": 13
+    }
+  }
+})"},
+};
 
 }  // namespace
 
 std::vector<std::string> golden_scenario_names() {
-  return {"rtp_zhuge_single", "tcp_mix", "chaos_burst"};
+  std::vector<std::string> names;
+  for (const GoldenSpec& g : kGoldenSpecs) names.emplace_back(g.name);
+  return names;
 }
 
-std::optional<ScenarioConfig> golden_scenario_config(const std::string& name) {
-  if (name == "rtp_zhuge_single") {
-    return golden_base();
-  }
-  if (name == "tcp_mix") {
-    ScenarioConfig cfg = golden_base();
-    cfg.protocol = Protocol::kTcp;
-    cfg.tcp_cca = TcpCcaKind::kBbr;
-    cfg.competing_bulk_flows = 2;
-    return cfg;
-  }
-  if (name == "chaos_burst") {
-    // The chaos suite's wan_burst_loss incident: Gilbert-Elliott burst
-    // loss on the WAN downlink from 10 s to 13 s.
-    ScenarioConfig cfg = golden_base();
-    cfg.faults.downlink_wan.burst =
-        fault::GilbertElliott{/*p_enter_bad=*/0.02, /*p_exit_bad=*/0.25,
-                              /*loss_good=*/0.0, /*loss_bad=*/0.5};
-    cfg.faults.downlink_wan.active = {
-        Window{TimePoint::zero() + Duration::seconds(10),
-               TimePoint::zero() + Duration::seconds(13)}};
-    return cfg;
+std::optional<ScenarioSpec> golden_scenario_spec(const std::string& name) {
+  for (const GoldenSpec& g : kGoldenSpecs) {
+    if (name == g.name) return parse_scenario_spec(g.json, nullptr);
   }
   return std::nullopt;
 }
 
 std::optional<GoldenRecord> compute_golden(const std::string& name) {
-  const auto cfg = golden_scenario_config(name);
-  if (!cfg.has_value()) return std::nullopt;
+  const auto spec = golden_scenario_spec(name);
+  if (!spec.has_value()) return std::nullopt;
 
   const ObsFreeze freeze;  // fingerprint == what a parallel sweep sees
-  const ScenarioResult r = run_scenario(*cfg);
+  const MultiStationResult r = run_multi_station(*spec);
 
   GoldenRecord rec;
   rec.name = name;
-  rec.seed = cfg->seed;
-  rec.fingerprint = result_fingerprint(r);
-  const auto& flow = r.primary();
+  rec.seed = spec->seed;
+  rec.fingerprint = multi_result_fingerprint(r);
+  const auto& flow = r.flows.front();
   rec.headline["rtt_p50_ms"] = flow.network_rtt_ms.quantile(0.50);
   rec.headline["rtt_p99_ms"] = flow.network_rtt_ms.quantile(0.99);
   rec.headline["frame_delay_p99_ms"] = flow.frame_delay_ms.quantile(0.99);

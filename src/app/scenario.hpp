@@ -1,120 +1,41 @@
 #pragma once
-// End-to-end scenario wiring: server(s) -> WAN -> AP -> wireless -> client,
-// with the uplink feedback path crossing the same wireless medium. This is
-// the evaluation harness behind every figure reproduction; examples use it
-// as the library's top-level API.
+// End-to-end scenario engine: server(s) -> WAN -> AP -> per-station
+// wireless link -> clients, with each client's feedback crossing its own
+// wireless uplink back to the AP. A declarative ScenarioSpec describes the
+// run; this one engine is behind every figure bench, the examples, the
+// chaos suite, the goldens, the eval matrix and the benchmark workloads.
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "app/access_point.hpp"
 #include "app/spec.hpp"
-#include "fault/fault.hpp"
-#include "net/packet.hpp"
 #include "obs/attrib.hpp"
-#include "rtc/video.hpp"
 #include "stats/distribution.hpp"
 #include "stats/timeseries.hpp"
-#include "trace/trace.hpp"
-#include "transport/rtp_sender.hpp"
 
 namespace zhuge::app {
 
-/// Transport/feedback family (§5.1).
-enum class Protocol : std::uint8_t { kRtp, kTcp };
-
-/// TCP-side CCA choice.
-enum class TcpCcaKind : std::uint8_t { kCopa, kBbr, kCubic, kAbc };
-
-/// Full experiment description.
-struct ScenarioConfig {
-  Protocol protocol = Protocol::kRtp;
-  TcpCcaKind tcp_cca = TcpCcaKind::kCopa;
-  transport::RtpCca rtp_cca = transport::RtpCca::kGcc;
-  AccessPoint::Config ap{};
-
-  const trace::Trace* channel_trace = nullptr;  ///< nullptr => MCS mode
-  int mcs_index = 7;
-  bool mcs_random_switch = false;          ///< fig18 "mcs": re-roll every 30 s
-  int interferers = 0;                     ///< fig17 wireless interference
-
-  int competing_bulk_flows = 0;            ///< fig16: CUBIC bulk at same AP
-  bool scp_periodic_competitor = false;    ///< fig18 "scp": 30 s on/off bulk
-
-  int rtc_flows = 1;                       ///< fig20 fairness: >1 RTC flows
-  std::vector<bool> optimize_flow{};       ///< per-RTC-flow AP optimisation
-                                           ///< (empty = optimise all)
-
-  rtc::VideoConfig video{};
-  fault::FaultPlan faults{};               ///< chaos harness (default: none)
-  sim::Duration wan_one_way = sim::Duration::millis(20);
-  double wan_rate_bps = 1e9;
-  sim::Duration duration = sim::Duration::seconds(60);
-  sim::Duration warmup = sim::Duration::seconds(5);
-  std::uint64_t seed = 1;
-};
-
-/// Per-RTC-flow outputs.
-struct FlowResult {
-  stats::Distribution network_rtt_ms;   ///< per-packet, post-warmup
-  stats::Distribution downlink_owd_ms;  ///< downlink one-way delay only
-  stats::Distribution frame_delay_ms;
-  stats::Distribution frame_rate_fps;   ///< per-second decoded frames
-  double goodput_bps = 0.0;             ///< application bytes delivered
-  std::uint64_t frames_sent = 0;
-  std::uint64_t frames_decoded = 0;
-};
-
-/// Everything the benches print.
-struct ScenarioResult {
-  std::vector<FlowResult> flows;        ///< one per RTC flow
-  stats::TimeSeries rtt_series_ms;      ///< flow 0, includes warmup
-  stats::TimeSeries rate_series_bps;    ///< flow 0 CCA target / cwnd rate
-  stats::TimeSeries frame_delay_series_ms;  ///< flow 0
-  stats::TimeSeries frame_rate_series_fps;  ///< flow 0, per-second
-  stats::Distribution sender_rtt_ms;    ///< TCP: RTT samples seen by sender
-  stats::Distribution prediction_error_ms;       ///< |predicted - actual|
+/// What a spec's `series_flow` records: time series for the degradation
+/// benches (Figs. 4, 14-18) and the chaos verdicts, plus per-flow
+/// distributions the figure benches read. Warm-up included unless noted.
+struct FlowSeries {
+  /// Network RTT: per delivered packet for RTP (downlink OWD + latest
+  /// uplink OWD), per sender RTT sample for TCP.
+  stats::TimeSeries rtt_ms;
+  /// The CCA's rate every 50 ms: GCC target for RTP, cwnd / sRTT for TCP.
+  stats::TimeSeries rate_bps;
+  stats::TimeSeries frame_delay_ms;  ///< per decoded frame, at decode time
+  stats::TimeSeries goodput_bps;     ///< delivered bytes, 50 ms bins
+  /// Decoded frames per whole second of the flow's post-warm-up window.
+  stats::Distribution frame_rate_fps;
+  /// (predicted, actual) AP queueing delay per predicted packet, post-warm-up.
   std::vector<std::pair<double, double>> predicted_vs_real_ms;
-  std::uint64_t qdisc_drops = 0;
-  std::uint64_t tcp_retransmissions = 0;  ///< flow 0, TCP mode
-  std::uint64_t events_executed = 0;
-
-  // ---- robustness / chaos outputs ----
-  stats::TimeSeries goodput_series_bps;   ///< flow 0 delivered rate, 50 ms bins
-  AccessPoint::RobustnessStats robustness{};
-  std::uint64_t fault_drops = 0;          ///< injector drops, all boundaries
-  std::uint64_t fault_duplicated = 0;
-  std::uint64_t fault_reordered = 0;
-  /// Injector delay spikes, all boundaries. Added after the golden suite
-  /// pinned result_fingerprint's input stream, so it is deliberately NOT
-  /// hashed there; the chaos-matrix verdict fingerprint covers it.
-  std::uint64_t fault_delay_spiked = 0;
-  std::uint64_t flushed_acks_at_end = 0;  ///< feedback drained at run end
-  std::uint64_t stranded_acks = 0;        ///< still held after the drain (bug if > 0)
-  std::uint64_t invariant_violations = 0; ///< raised during this run
-
-  /// Per-stage latency attribution (empty unless obs::attrib_enabled()
-  /// during the run). Observability output only: excluded from result
-  /// fingerprints by construction (sweep.cpp never hashes it).
-  obs::Attribution attrib;
-
-  /// Degradation-ladder transitions of every optimised flow (current and
-  /// retired), stamped with stable flow keys. Observability output only,
-  /// excluded from result fingerprints like `attrib`; the recovery-SLO
-  /// accounting (obs::compute_recovery_slo) consumes it.
-  std::vector<obs::LadderTransition> ladder_log;
-
-  /// Flow 0 shorthand.
-  [[nodiscard]] const FlowResult& primary() const { return flows.front(); }
 };
-
-/// Run one scenario to completion. Deterministic in (config, seed).
-[[nodiscard]] ScenarioResult run_scenario(const ScenarioConfig& cfg);
-
-// ---------------------------------------------------------------------------
-// Multi-station scenario engine (declarative ScenarioSpec workloads)
-// ---------------------------------------------------------------------------
 
 /// Per-flow outputs of a multi-station run, in schedule order. Flows that
 /// never delivered anything keep empty distributions.
@@ -129,7 +50,7 @@ struct MultiFlowResult {
   stats::Distribution downlink_owd_ms;
   stats::Distribution frame_delay_ms;
   double goodput_bps = 0.0;             ///< over the flow's post-warmup window
-  std::uint64_t frames_sent = 0;
+  std::uint64_t frames_sent = 0;        ///< tcp_bulk: 64 KiB chunks written
   std::uint64_t frames_decoded = 0;
   std::uint64_t packets_delivered = 0;
 };
@@ -164,10 +85,11 @@ struct MultiStationResult {
   std::uint64_t invariant_violations = 0;
   AccessPoint::RobustnessStats robustness{};
 
-  // Feedback-path fault-injection counters (spec "feedback_faults"
-  // section). Added after the golden suite pinned multi_result_fingerprint's
-  // input stream, so they are deliberately NOT hashed there; tests compare
-  // them directly when asserting injection bit-identity.
+  // Fault-injection counters, summed over every injector the spec's
+  // "faults" section configured. Added after the golden suite pinned
+  // multi_result_fingerprint's input stream, so they are deliberately NOT
+  // hashed there; tests and the chaos verdict fingerprint read them
+  // directly.
   std::uint64_t fault_drops = 0;
   std::uint64_t fault_duplicated = 0;
   std::uint64_t fault_reordered = 0;
@@ -181,6 +103,10 @@ struct MultiStationResult {
   /// Degradation-ladder transitions, all optimised flows (observability
   /// only; never hashed — same contract as `attrib`).
   std::vector<obs::LadderTransition> ladder_log;
+
+  /// The spec's series_flow record; empty when series_flow is -1. Hashed
+  /// only when present, so specs without the key keep their fingerprints.
+  std::optional<FlowSeries> series;
 };
 
 /// Run a multi-station spec to completion with its embedded seed.

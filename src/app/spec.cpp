@@ -5,11 +5,14 @@
 #include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
+#include <memory>
 #include <sstream>
 
 #include "obs/slo.hpp"
 #include "sim/random.hpp"
 #include "sim/substreams.hpp"
+#include "trace/trace.hpp"
 
 namespace zhuge::app {
 
@@ -362,6 +365,8 @@ const char* to_string(SpecFlowKind kind) {
     case SpecFlowKind::kTcpCubic: return "tcp_cubic";
     case SpecFlowKind::kTcpBbr: return "tcp_bbr";
     case SpecFlowKind::kTcpAbc: return "tcp_abc";
+    case SpecFlowKind::kTcpCopa: return "tcp_copa";
+    case SpecFlowKind::kTcpBulk: return "tcp_bulk";
   }
   return "?";
 }
@@ -387,6 +392,8 @@ bool parse_flow_kind(const std::string& s, SpecFlowKind& out) {
   else if (s == "tcp_cubic") out = SpecFlowKind::kTcpCubic;
   else if (s == "tcp_bbr") out = SpecFlowKind::kTcpBbr;
   else if (s == "tcp_abc") out = SpecFlowKind::kTcpAbc;
+  else if (s == "tcp_copa") out = SpecFlowKind::kTcpCopa;
+  else if (s == "tcp_bulk") out = SpecFlowKind::kTcpBulk;
   else return false;
   return true;
 }
@@ -395,6 +402,13 @@ bool parse_qdisc_kind(const std::string& s, QdiscKind& out) {
   if (s == "fifo") out = QdiscKind::kFifo;
   else if (s == "codel") out = QdiscKind::kCoDel;
   else if (s == "fq_codel") out = QdiscKind::kFqCoDel;
+  else return false;
+  return true;
+}
+
+bool parse_link_kind(const std::string& s, LinkKind& out) {
+  if (s == "wifi") out = LinkKind::kWifi;
+  else if (s == "cellular") out = LinkKind::kCellular;
   else return false;
   return true;
 }
@@ -448,38 +462,54 @@ std::string at_line(const Json& v) {
   return v.line() > 0 ? "line " + std::to_string(v.line()) + ": " : "";
 }
 
-/// One strictly validated feedback-fault sub-object ("ap_feedback" /
-/// "uplink_rtcp"). Unlike the rest of the spec — where unknown keys are
-/// ignored for forward compatibility — a typo here would silently run a
-/// *clean* scenario while claiming chaos coverage, so every key must be
-/// known, numeric, and in range; diagnostics carry the offending value's
-/// source line.
-bool parse_feedback_fault(const Json& obj, const std::string& path,
-                          double duration_s, fault::InjectorConfig& out,
-                          std::string* err) {
+/// Strict key check shared by every spec section: the first key of `obj`
+/// not in `known` fails with "line N: unknown key '<k>' in <section>".
+bool known_keys(const Json& obj, std::initializer_list<std::string_view> known,
+                const std::string& section, std::string* err) {
+  for (const auto& [key, value] : obj.object()) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      if (err != nullptr) {
+        *err = at_line(value) + "unknown key '" + key + "' in " + section;
+      }
+      return false;
+    }
+  }
+  return true;
+}
+
+sim::TimePoint at_seconds(double seconds) {
+  return sim::TimePoint::zero() + sim::Duration::from_seconds(seconds);
+}
+
+/// One strictly validated fault boundary ("faults.<boundary>"): every key
+/// must be known and every value in range, with the offending value's
+/// source line in the diagnostic — a typo here would silently run a
+/// *clean* scenario while claiming chaos coverage.
+bool parse_injector(const Json& obj, const std::string& path, double duration_s,
+                    fault::InjectorConfig& out, std::string* err) {
   const auto fail = [&](const Json& v, const std::string& msg) {
     if (err != nullptr) *err = at_line(v) + path + ": " + msg;
     return false;
   };
   if (!obj.is_object()) return fail(obj, "must be an object");
-
-  static constexpr std::string_view kKnown[] = {
-      "loss_prob",  "dup_prob",       "reorder_prob", "reorder_delay_ms",
-      "spike_prob", "spike_delay_ms", "start_s",      "end_s"};
+  if (!known_keys(obj,
+                  {"loss_prob", "dup_prob", "reorder_prob", "reorder_delay_ms",
+                   "spike_prob", "spike_delay_ms", "start_s", "end_s", "burst",
+                   "blackouts", "fade_delay_ms", "fades"},
+                  path, err)) {
+    return false;
+  }
   for (const auto& [key, value] : obj.object()) {
-    if (std::find(std::begin(kKnown), std::end(kKnown), key) ==
-        std::end(kKnown)) {
-      return fail(value, "unknown key \"" + key + "\"");
-    }
-    if (value.kind() != Json::Kind::kNumber) {
+    const bool structured = key == "burst" || key == "blackouts" || key == "fades";
+    if (!structured && value.kind() != Json::Kind::kNumber) {
       return fail(value, "\"" + key + "\" must be a number");
     }
   }
 
-  const auto prob = [&](const char* key, double& dst) {
-    const Json* v = obj.find(key);
+  const auto prob = [&](const Json& o, const char* key, double& dst) {
+    const Json* v = o.find(key);
     if (v == nullptr) return true;
-    dst = v->number_or(0.0);
+    dst = v->number_or(-1.0);
     if (dst < 0.0 || dst > 1.0) {
       return fail(*v, std::string("\"") + key + "\" must be in [0, 1]");
     }
@@ -495,17 +525,59 @@ bool parse_feedback_fault(const Json& obj, const std::string& path,
     dst = sim::Duration::from_seconds(ms / 1e3);
     return true;
   };
+  /// [[start_s, end_s], ...] -> absolute windows.
+  const auto windows = [&](const char* key, std::vector<fault::Window>& dst) {
+    const Json* v = obj.find(key);
+    if (v == nullptr) return true;
+    const std::string what = std::string("\"") + key +
+                             "\" must be a list of [start_s, end_s] pairs";
+    if (!v->is_array()) return fail(*v, what);
+    for (const Json& w : v->array()) {
+      if (!w.is_array() || w.array().size() != 2 ||
+          w.array()[0].kind() != Json::Kind::kNumber ||
+          w.array()[1].kind() != Json::Kind::kNumber) {
+        return fail(w, what);
+      }
+      const double a = w.array()[0].number_or(0.0);
+      const double b = w.array()[1].number_or(0.0);
+      if (a < 0.0 || b <= a) return fail(w, what + " with 0 <= start_s < end_s");
+      dst.push_back(fault::Window{at_seconds(a), at_seconds(b)});
+    }
+    return true;
+  };
 
-  if (!prob("loss_prob", out.loss_prob)) return false;
-  if (!prob("dup_prob", out.dup_prob)) return false;
-  if (!prob("reorder_prob", out.reorder_prob)) return false;
-  if (!prob("spike_prob", out.spike_prob)) return false;
+  if (!prob(obj, "loss_prob", out.loss_prob)) return false;
+  if (!prob(obj, "dup_prob", out.dup_prob)) return false;
+  if (!prob(obj, "reorder_prob", out.reorder_prob)) return false;
+  if (!prob(obj, "spike_prob", out.spike_prob)) return false;
   if (!delay("reorder_delay_ms", out.reorder_delay)) return false;
   if (!delay("spike_delay_ms", out.spike_delay)) return false;
+  if (!delay("fade_delay_ms", out.fade_delay)) return false;
+  if (!windows("blackouts", out.blackouts)) return false;
+  if (!windows("fades", out.fades)) return false;
 
-  // Optional active window [start_s, end_s); defaults span the whole run.
-  // Only materialised when at least one bound is given, so an unwindowed
-  // section keeps InjectorConfig::active empty (always-on semantics).
+  if (const Json* b = obj.find("burst"); b != nullptr) {
+    const std::string bpath = path + ".burst";
+    if (!b->is_object()) {
+      if (err != nullptr) *err = at_line(*b) + bpath + ": must be an object";
+      return false;
+    }
+    if (!known_keys(*b, {"p_enter_bad", "p_exit_bad", "loss_good", "loss_bad"},
+                    bpath, err)) {
+      return false;
+    }
+    if (!prob(*b, "p_enter_bad", out.burst.p_enter_bad) ||
+        !prob(*b, "p_exit_bad", out.burst.p_exit_bad) ||
+        !prob(*b, "loss_good", out.burst.loss_good) ||
+        !prob(*b, "loss_bad", out.burst.loss_bad)) {
+      return false;
+    }
+  }
+
+  // Optional active window [start_s, end_s) for the probabilistic faults;
+  // defaults span the whole run. Only materialised when at least one bound
+  // is given, so an unwindowed section keeps InjectorConfig::active empty
+  // (always-on semantics).
   const Json* start_j = obj.find("start_s");
   const Json* end_j = obj.find("end_s");
   if (start_j != nullptr || end_j != nullptr) {
@@ -518,15 +590,75 @@ bool parse_feedback_fault(const Json& obj, const std::string& path,
       return fail(end_j != nullptr ? *end_j : *start_j,
                   "\"end_s\" must be > start_s");
     }
-    const auto at = [](double seconds) {
-      return sim::TimePoint::zero() + sim::Duration::from_seconds(seconds);
-    };
-    out.active = {fault::Window{at(start_s), at(end_s)}};
+    out.active = {fault::Window{at_seconds(start_s), at_seconds(end_s)}};
   }
+  return true;
+}
 
-  // The harness forces this again at injector-build time; setting it here
-  // keeps a parsed config faithful even if used directly.
-  out.only_feedback = true;
+/// The "faults" section: six injector boundaries plus scheduled AP clock
+/// jumps ([{"at_s", "delta_ms"}, ...]) and optimiser restarts ([at_s, ...]).
+bool parse_faults(const Json& obj, double duration_s, fault::FaultPlan& out,
+                  std::string* err) {
+  const auto fail = [&](const Json& v, const std::string& msg) {
+    if (err != nullptr) *err = at_line(v) + "faults: " + msg;
+    return false;
+  };
+  if (!obj.is_object()) {
+    if (err != nullptr) *err = at_line(obj) + "\"faults\" must be an object";
+    return false;
+  }
+  if (!known_keys(obj,
+                  {"downlink_wan", "uplink_wireless", "downlink_wireless",
+                   "uplink_wan", "ap_feedback", "uplink_rtcp", "clock_jumps",
+                   "ap_restarts"},
+                  "faults", err)) {
+    return false;
+  }
+  const std::pair<const char*, fault::InjectorConfig*> boundaries[] = {
+      {"downlink_wan", &out.downlink_wan},
+      {"uplink_wireless", &out.uplink_wireless},
+      {"downlink_wireless", &out.downlink_wireless},
+      {"uplink_wan", &out.uplink_wan},
+      {"ap_feedback", &out.ap_feedback},
+      {"uplink_rtcp", &out.uplink_rtcp}};
+  for (const auto& [key, cfg] : boundaries) {
+    if (const Json* b = obj.find(key); b != nullptr) {
+      if (!parse_injector(*b, std::string("faults.") + key, duration_s, *cfg,
+                          err)) {
+        return false;
+      }
+    }
+  }
+  // The control-loop boundaries only ever see feedback; the engine forces
+  // this again when it builds the injectors.
+  out.ap_feedback.only_feedback = true;
+  out.uplink_rtcp.only_feedback = true;
+
+  if (const Json* jumps = obj.find("clock_jumps"); jumps != nullptr) {
+    if (!jumps->is_array()) return fail(*jumps, "\"clock_jumps\" must be an array");
+    for (const Json& j : jumps->array()) {
+      if (!j.is_object()) return fail(j, "clock_jumps[] must be objects");
+      if (!known_keys(j, {"at_s", "delta_ms"}, "faults.clock_jumps[]", err)) {
+        return false;
+      }
+      const double at = num_field(j, "at_s", -1.0);
+      if (at < 0.0) return fail(j, "clock_jumps[].at_s must be >= 0");
+      out.clock_jumps.push_back(fault::ClockJump{
+          at_seconds(at),
+          sim::Duration::from_seconds(num_field(j, "delta_ms", 0.0) / 1e3)});
+    }
+  }
+  if (const Json* restarts = obj.find("ap_restarts"); restarts != nullptr) {
+    if (!restarts->is_array()) {
+      return fail(*restarts, "\"ap_restarts\" must be an array of times (s)");
+    }
+    for (const Json& r : restarts->array()) {
+      if (r.kind() != Json::Kind::kNumber || r.number_or(-1.0) < 0.0) {
+        return fail(r, "ap_restarts[] must be times >= 0 (s)");
+      }
+      out.ap_restarts.push_back(at_seconds(r.number_or(0.0)));
+    }
+  }
   return true;
 }
 
@@ -538,11 +670,29 @@ std::optional<ScenarioSpec> parse_scenario_spec(std::string_view text,
     if (err != nullptr) *err = msg;
     return std::nullopt;
   };
+  std::string kerr;
+  const auto strict = [&kerr](const Json& obj,
+                              std::initializer_list<std::string_view> known,
+                              const char* section) {
+    if (!obj.is_object()) {
+      kerr = at_line(obj) + section + " must be an object";
+      return false;
+    }
+    return known_keys(obj, known, section, &kerr);
+  };
 
   std::string jerr;
   const auto doc = Json::parse(text, &jerr);
   if (!doc.has_value()) return fail(jerr);
   if (!doc->is_object()) return fail("spec must be a JSON object");
+  if (!strict(*doc,
+              {"name", "duration_s", "warmup_s", "seed", "ap_mode",
+               "wan_one_way_ms", "wan_rate_mbps", "interferers", "stations",
+               "flows", "churn", "faults", "series_flow",
+               "zhuge_initial_ladder"},
+              "spec")) {
+    return fail(kerr);
+  }
 
   ScenarioSpec spec;
   spec.name = str_field(*doc, "name", spec.name);
@@ -563,6 +713,8 @@ std::optional<ScenarioSpec> parse_scenario_spec(std::string_view text,
   if (spec.wan_one_way_ms < 0 || spec.wan_rate_mbps <= 0) {
     return fail("wan_one_way_ms must be >= 0 and wan_rate_mbps > 0");
   }
+  spec.interferers = static_cast<int>(num_field(*doc, "interferers", 0));
+  if (spec.interferers < 0) return fail("interferers must be >= 0");
 
   const Json* stations = doc->find("stations");
   if (stations == nullptr || !stations->is_array() ||
@@ -570,6 +722,12 @@ std::optional<ScenarioSpec> parse_scenario_spec(std::string_view text,
     return fail("spec needs a non-empty \"stations\" array");
   }
   for (const auto& sj : stations->array()) {
+    if (!strict(sj,
+                {"count", "mcs", "qdisc", "queue_limit_pkts", "leave_s",
+                 "trace", "trace_csv", "link", "mcs_reroll_s", "fade"},
+                "stations[]")) {
+      return fail(kerr);
+    }
     StationGroupSpec g;
     g.count = static_cast<int>(num_field(sj, "count", 1));
     g.mcs = static_cast<int>(num_field(sj, "mcs", 7));
@@ -578,10 +736,22 @@ std::optional<ScenarioSpec> parse_scenario_spec(std::string_view text,
     if (!parse_qdisc_kind(str_field(sj, "qdisc", "fifo"), g.qdisc)) {
       return fail("stations[].qdisc must be fifo|codel|fq_codel");
     }
+    if (const Json* link = sj.find("link");
+        link != nullptr && !parse_link_kind(link->string_or(""), g.link)) {
+      return fail(at_line(*link) + "stations[].link must be wifi|cellular");
+    }
     g.queue_limit_bytes = static_cast<std::int64_t>(
         num_field(sj, "queue_limit_pkts", 300.0) * 1500.0);
     g.leave_s = num_field(sj, "leave_s", -1.0);
-    if (const Json* tc = sj.find("trace"); tc != nullptr) {
+    g.mcs_reroll_s = num_field(sj, "mcs_reroll_s", 0.0);
+    if (g.mcs_reroll_s < 0) return fail("stations[].mcs_reroll_s must be >= 0");
+    const Json* tc = sj.find("trace");
+    const Json* csv = sj.find("trace_csv");
+    if (tc != nullptr && csv != nullptr) {
+      return fail(at_line(*csv) +
+                  "stations[]: \"trace\" and \"trace_csv\" are exclusive");
+    }
+    if (tc != nullptr) {
       trace::TraceKind kind{};
       if (!parse_trace_class(tc->string_or(""), kind)) {
         return fail(at_line(*tc) +
@@ -589,7 +759,18 @@ std::optional<ScenarioSpec> parse_scenario_spec(std::string_view text,
       }
       g.trace_class = kind;
     }
+    if (csv != nullptr) {
+      const std::string path = csv->string_or("");
+      try {
+        g.trace = std::make_shared<const trace::Trace>(trace::load_csv(path, path));
+      } catch (const std::exception& e) {
+        return fail(at_line(*csv) + "stations[].trace_csv: " + e.what());
+      }
+    }
     if (const Json* fade = sj.find("fade"); fade != nullptr) {
+      if (!strict(*fade, {"period_s", "depth_mcs", "duty"}, "stations[].fade")) {
+        return fail(kerr);
+      }
       g.fade.period_s = num_field(*fade, "period_s", 0.0);
       g.fade.depth_mcs = static_cast<int>(num_field(*fade, "depth_mcs", 0));
       g.fade.duty = num_field(*fade, "duty", 0.5);
@@ -597,16 +778,24 @@ std::optional<ScenarioSpec> parse_scenario_spec(std::string_view text,
         return fail("stations[].fade: period_s >= 0, duty in [0,1]");
       }
     }
-    spec.stations.push_back(g);
+    spec.stations.push_back(std::move(g));
   }
   const int n_stations = spec.station_count();
 
   if (const Json* flows = doc->find("flows"); flows != nullptr) {
     if (!flows->is_array()) return fail("\"flows\" must be an array");
     for (const auto& fj : flows->array()) {
+      if (!strict(fj,
+                  {"kind", "station", "zhuge", "start_s", "stop_s",
+                   "max_bitrate_mbps", "fps"},
+                  "flows[]")) {
+        return fail(kerr);
+      }
       SpecFlow f;
       if (!parse_flow_kind(str_field(fj, "kind", "rtp_gcc"), f.kind)) {
-        return fail("flows[].kind must be rtp_gcc|tcp_cubic|tcp_bbr|tcp_abc");
+        return fail(
+            "flows[].kind must be "
+            "rtp_gcc|tcp_cubic|tcp_bbr|tcp_copa|tcp_abc|tcp_bulk");
       }
       f.station = static_cast<int>(num_field(fj, "station", 0));
       if (f.station < 0 || f.station >= n_stations) {
@@ -622,6 +811,14 @@ std::optional<ScenarioSpec> parse_scenario_spec(std::string_view text,
   }
 
   if (const Json* churn = doc->find("churn"); churn != nullptr) {
+    if (!strict(*churn,
+                {"enabled", "mean_interarrival_s", "mean_lifetime_s",
+                 "max_lifetime_s", "max_concurrent", "mix_rtp_gcc",
+                 "mix_tcp_cubic", "mix_tcp_bbr", "zhuge_fraction", "start_s",
+                 "stop_s", "max_bitrate_mbps", "fps"},
+                "churn")) {
+      return fail(kerr);
+    }
     ChurnSpec& c = spec.churn;
     c.enabled = bool_field(*churn, "enabled", true);
     c.mean_interarrival_s =
@@ -648,42 +845,30 @@ std::optional<ScenarioSpec> parse_scenario_spec(std::string_view text,
     c.fps = num_field(*churn, "fps", 30.0);
   }
 
+  if (const Json* sf = doc->find("series_flow"); sf != nullptr) {
+    spec.series_flow = static_cast<int>(sf->number_or(-2.0));
+    if (spec.series_flow < -1 ||
+        spec.series_flow >= static_cast<int>(spec.flows.size())) {
+      return fail(at_line(*sf) +
+                  "series_flow must be -1 or the index of a flows[] entry");
+    }
+  }
+
   if (const Json* ladder = doc->find("zhuge_initial_ladder");
       ladder != nullptr) {
     const std::string name = ladder->string_or("");
-    if (!obs::parse_ladder_level(name, &spec.zhuge_initial_ladder)) {
+    if (!obs::parse_ladder_level(name, &spec.zhuge.watchdog.initial_level)) {
       return fail(at_line(*ladder) +
                   "zhuge_initial_ladder must be "
                   "full|clamped_predict|hold_only|pass_through");
     }
   }
 
-  if (const Json* ff = doc->find("feedback_faults"); ff != nullptr) {
-    if (!ff->is_object()) {
-      return fail(at_line(*ff) + "\"feedback_faults\" must be an object");
-    }
-    // Strict at this level too: only the two control-loop boundaries exist.
-    for (const auto& [key, value] : ff->object()) {
-      if (key != "ap_feedback" && key != "uplink_rtcp") {
-        return fail(at_line(value) + "feedback_faults: unknown key \"" + key +
-                    "\" (expected ap_feedback|uplink_rtcp)");
-      }
-    }
+  if (const Json* faults = doc->find("faults"); faults != nullptr) {
+    fault::FaultPlan plan;
     std::string ferr;
-    if (const Json* b = ff->find("ap_feedback"); b != nullptr) {
-      if (!parse_feedback_fault(*b, "feedback_faults.ap_feedback",
-                                spec.duration_s, spec.ap_feedback_fault,
-                                &ferr)) {
-        return fail(ferr);
-      }
-    }
-    if (const Json* b = ff->find("uplink_rtcp"); b != nullptr) {
-      if (!parse_feedback_fault(*b, "feedback_faults.uplink_rtcp",
-                                spec.duration_s, spec.uplink_rtcp_fault,
-                                &ferr)) {
-        return fail(ferr);
-      }
-    }
+    if (!parse_faults(*faults, spec.duration_s, plan, &ferr)) return fail(ferr);
+    spec.faults = std::make_shared<const fault::FaultPlan>(std::move(plan));
   }
 
   return spec;

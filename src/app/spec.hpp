@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -99,11 +100,15 @@ class Json {
 // ---------------------------------------------------------------------------
 
 /// Flow families a spec can schedule (RTP/GCC per the paper's RTC workload;
-/// CUBIC and BBR as the competing-TCP workloads of §6/Fig. 16; tcp_abc is
-/// the cooperating sender for the ABC baseline AP — its cwnd follows the
-/// router's accelerate/brake marks, so it only makes sense under
-/// ap_mode "abc").
-enum class SpecFlowKind : std::uint8_t { kRtpGcc, kTcpCubic, kTcpBbr, kTcpAbc };
+/// video over TCP with CUBIC, BBR or Copa as the TCP RTC workloads of
+/// §7.2/Fig. 12; tcp_abc is the cooperating sender for the ABC baseline AP —
+/// its cwnd follows the router's accelerate/brake marks, so it only makes
+/// sense under ap_mode "abc"; tcp_bulk is the CUBIC bulk competitor of
+/// Figs. 16/18, a backlogged source writing 64 KiB every 20 ms while its
+/// socket holds less than 256 KiB).
+enum class SpecFlowKind : std::uint8_t {
+  kRtpGcc, kTcpCubic, kTcpBbr, kTcpAbc, kTcpCopa, kTcpBulk
+};
 
 [[nodiscard]] const char* to_string(SpecFlowKind kind);
 
@@ -123,6 +128,10 @@ struct StationGroupSpec {
   QdiscKind qdisc = QdiscKind::kFifo;
   std::int64_t queue_limit_bytes = 300 * 1500;
   FadeSpec fade{};
+  /// Last-hop technology ("link": "wifi"|"cellular"): an AMPDU WifiLink on
+  /// the AP's shared CSMA medium, or a TTI-scheduled CellularLink with its
+  /// own queue per station. The station's uplink uses the same technology.
+  LinkKind link = LinkKind::kWifi;
   /// When set ("trace": "W1"|"W2"|"C1"|"C2"|"C3"|"ETH"|"ABC") the station's
   /// downlink PHY follows a synthetic trace of that class instead of a
   /// fixed MCS rate; each station in the group gets its own trace drawn
@@ -130,6 +139,15 @@ struct StationGroupSpec {
   /// `mcs` still sets the uplink rate. Unset = MCS mode (existing specs
   /// unchanged).
   std::optional<trace::TraceKind> trace_class{};
+  /// A measured (or bench-built) trace every station of the group follows
+  /// on its downlink ("trace_csv": path, loaded at parse time; benches set
+  /// it directly). Takes precedence over `trace_class`; the uplink stays
+  /// in MCS mode as for trace classes.
+  std::shared_ptr<const trace::Trace> trace{};
+  /// When > 0 the station's MCS is re-drawn uniformly from 0..5 every
+  /// this many seconds, both directions (Fig. 18 "mcs"). Draws come from
+  /// the scenario's auxiliary substream in station order.
+  double mcs_reroll_s = 0.0;
   /// When > 0 every station in the group deassociates at this time: the AP
   /// quiesces it (AccessPoint::unregister_station) and its remaining
   /// downlink traffic black-holes. -1 = stays for the whole run.
@@ -174,22 +192,34 @@ struct ScenarioSpec {
   ApMode ap_mode = ApMode::kZhuge;
   double wan_one_way_ms = 20.0;
   double wan_rate_mbps = 1000.0;
+  /// Saturating co-channel senders on other APs contending for the medium
+  /// ("interferers", Fig. 17).
+  int interferers = 0;
   std::vector<StationGroupSpec> stations;
   std::vector<SpecFlow> flows;
   ChurnSpec churn{};
 
-  /// Feedback-path fault injection ("feedback_faults" section, strictly
-  /// validated): ap_feedback impairs the AP-rewritten feedback on its way
-  /// to the servers, uplink_rtcp impairs client RTCP before the AP. Both
-  /// run feedback-only; data packets pass untouched.
-  fault::InjectorConfig ap_feedback_fault{};
-  fault::InjectorConfig uplink_rtcp_fault{};
+  /// Fault injection ("faults" section, strictly validated): one injector
+  /// per boundary that configures one (WAN ingress, client uplink, AP ->
+  /// client, AP -> servers, plus the two feedback-only control-loop
+  /// boundaries ap_feedback and uplink_rtcp), AP clock jumps and AP
+  /// optimiser restarts. Unconfigured boundaries get no injector at all;
+  /// null = no faults. Shared and immutable like a station trace, so
+  /// copying a spec (eval cells, seed sweeps) stays cheap.
+  std::shared_ptr<const fault::FaultPlan> faults;
 
-  /// Pin the Zhuge degradation ladder ("zhuge_initial_ladder" key). The
-  /// default kFull runs the normal watchdog; any other level disables
-  /// watchdog transitions and holds every optimised flow at that level —
-  /// kPassThrough is the fingerprint-identical-to-Zhuge-off control.
-  obs::LadderLevel zhuge_initial_ladder = obs::LadderLevel::kFull;
+  /// Schedule index of the flow whose time series (RTT, rate, frame delay,
+  /// goodput), per-second frame rate and predicted-vs-real delay pairs are
+  /// recorded into MultiStationResult::series ("series_flow"). -1 = off:
+  /// no sampler runs and no series is kept.
+  int series_flow = -1;
+
+  /// Zhuge's configuration for every optimised flow. Only the degradation
+  /// ladder's starting level has a spec key ("zhuge_initial_ladder": the
+  /// default full runs the normal watchdog; any other level pins every
+  /// optimised flow there — pass_through is the fingerprint-identical-to-
+  /// Zhuge-off control); the ablation bench sets the rest in C++.
+  core::ZhugeConfig zhuge{};
 
   /// Total stations after group expansion.
   [[nodiscard]] int station_count() const;
@@ -203,12 +233,13 @@ struct ScenarioSpec {
 [[nodiscard]] bool parse_trace_class(const std::string& s,
                                      trace::TraceKind& out);
 
-/// Parse a spec document. Unknown keys are ignored (forward compatibility)
-/// EXCEPT inside "feedback_faults", which is strictly validated — a typo'd
-/// fault key would silently run a clean scenario while claiming chaos
-/// coverage, so unknown keys, non-numeric values, and out-of-range values
-/// there fail with line-numbered errors. Structural errors (wrong JSON, no
-/// stations, bad enums) fail with `*err`.
+/// Parse a spec document. Parsing is strict: an unknown key in any section
+/// (top level, stations[], fade, flows[], churn, faults and its boundaries)
+/// fails with "line N: unknown key '<k>' in <section>", because a typo
+/// would otherwise silently run a different scenario. Structural and range
+/// errors (wrong JSON, no stations, bad enums, fault probabilities outside
+/// [0, 1]) fail with `*err` too. "trace_csv" paths are read at parse time,
+/// relative to the working directory.
 [[nodiscard]] std::optional<ScenarioSpec> parse_scenario_spec(
     std::string_view text, std::string* err);
 

@@ -45,117 +45,6 @@ ObsFreeze::~ObsFreeze() {
   obs::set_attrib_enabled(attrib_was_);
 }
 
-std::uint64_t result_fingerprint(const ScenarioResult& r) {
-  Fnv f;
-  f.u64(r.flows.size());
-  for (const auto& flow : r.flows) {
-    f.dist(flow.network_rtt_ms);
-    f.dist(flow.downlink_owd_ms);
-    f.dist(flow.frame_delay_ms);
-    f.dist(flow.frame_rate_fps);
-    f.f64(flow.goodput_bps);
-    f.u64(flow.frames_sent);
-    f.u64(flow.frames_decoded);
-  }
-  f.series(r.rtt_series_ms);
-  f.series(r.rate_series_bps);
-  f.series(r.frame_delay_series_ms);
-  f.series(r.frame_rate_series_fps);
-  f.series(r.goodput_series_bps);
-  f.dist(r.sender_rtt_ms);
-  f.dist(r.prediction_error_ms);
-  f.u64(r.predicted_vs_real_ms.size());
-  for (const auto& [pred, real] : r.predicted_vs_real_ms) {
-    f.f64(pred);
-    f.f64(real);
-  }
-  f.u64(r.qdisc_drops);
-  f.u64(r.tcp_retransmissions);
-  f.u64(r.events_executed);
-  f.u64(r.robustness.degrades);
-  f.u64(r.robustness.reactivates);
-  f.u64(r.robustness.flushed_acks);
-  f.u64(r.robustness.optimizer_restarts);
-  f.u64(r.robustness.clock_jumps);
-  f.u64(r.fault_drops);
-  f.u64(r.fault_duplicated);
-  f.u64(r.fault_reordered);
-  f.u64(r.flushed_acks_at_end);
-  f.u64(r.stranded_acks);
-  f.u64(r.invariant_violations);
-  return f.h;
-}
-
-std::vector<SweepPoint> cross_seeds(const std::vector<SweepPoint>& scenarios,
-                                    const std::vector<std::uint64_t>& seeds) {
-  std::vector<SweepPoint> grid;
-  grid.reserve(scenarios.size() * seeds.size());
-  for (const auto& s : scenarios) {
-    for (const std::uint64_t seed : seeds) {
-      SweepPoint p = s;
-      p.name = s.name + "/s" + std::to_string(seed);
-      p.seed = seed;
-      grid.push_back(std::move(p));
-    }
-  }
-  return grid;
-}
-
-std::vector<SweepRun> run_sweep(std::vector<SweepPoint> grid,
-                                const SweepOptions& opts) {
-  std::vector<SweepRun> runs(grid.size());
-  if (grid.empty()) return runs;
-
-  // Freeze the process-global obs state for the duration of the sweep:
-  // the registries are shared and unsynchronized, and per-run metrics
-  // must not interleave anyway. Freezing also makes a serial sweep
-  // observe exactly what a parallel sweep observes (e.g.
-  // ScenarioResult::invariant_violations reads the global counter).
-  const ObsFreeze freeze;
-  // Attribution opt-in: written once before any worker starts and only
-  // read during the pool, so the switch itself is race-free. ObsFreeze's
-  // destructor restores the pre-sweep state on exit.
-  if (opts.attrib) obs::set_attrib_enabled(true);
-  run_indexed_pool(grid.size(), opts.threads, [&grid, &runs](std::size_t i) {
-    // zlint-allow(banned-api): wall-clock throughput probe only.
-    const auto t0 = std::chrono::steady_clock::now();
-    SweepPoint& p = grid[i];
-    p.config.seed = p.seed;
-    SweepRun& out = runs[i];
-    out.name = p.name;
-    out.seed = p.seed;
-    out.result = run_scenario(p.config);
-    out.fingerprint = result_fingerprint(out.result);
-    out.wall_seconds = wall_since(t0);
-  });
-  return runs;
-}
-
-void export_sweep_metrics(const std::vector<SweepRun>& runs,
-                          obs::Registry& registry) {
-  std::uint64_t total_events = 0;
-  double total_wall = 0.0;
-  for (const auto& run : runs) {
-    const std::string base = "sweep." + run.name + ".";
-    const auto& flow = run.result.primary();
-    registry.gauge(base + "rtt_p50_ms").set(flow.network_rtt_ms.quantile(0.50));
-    registry.gauge(base + "rtt_p99_ms").set(flow.network_rtt_ms.quantile(0.99));
-    registry.gauge(base + "frame_delay_p99_ms")
-        .set(flow.frame_delay_ms.quantile(0.99));
-    registry.gauge(base + "goodput_bps").set(flow.goodput_bps);
-    registry.gauge(base + "wall_seconds").set(run.wall_seconds);
-    registry.counter(base + "events").inc(run.result.events_executed);
-    registry.counter(base + "qdisc_drops").inc(run.result.qdisc_drops);
-    registry.counter(base + "invariant_violations")
-        .inc(run.result.invariant_violations);
-    total_events += run.result.events_executed;
-    total_wall += run.wall_seconds;
-  }
-  registry.counter("sweep.total.runs").inc(runs.size());
-  registry.counter("sweep.total.events").inc(total_events);
-  registry.gauge("sweep.total.wall_seconds").set(total_wall);
-}
-
 std::uint64_t multi_result_fingerprint(const MultiStationResult& r) {
   // Field order mirrors the MultiStationResult declaration; every numeric
   // output participates so the hash IS the bit-identity contract.
@@ -201,6 +90,19 @@ std::uint64_t multi_result_fingerprint(const MultiStationResult& r) {
   f.u64(r.robustness.flushed_acks);
   f.u64(r.robustness.optimizer_restarts);
   f.u64(r.robustness.clock_jumps);
+  if (r.series.has_value()) {
+    const FlowSeries& s = *r.series;
+    f.series(s.rtt_ms);
+    f.series(s.rate_bps);
+    f.series(s.frame_delay_ms);
+    f.series(s.goodput_bps);
+    f.dist(s.frame_rate_fps);
+    f.u64(s.predicted_vs_real_ms.size());
+    for (const auto& [pred, real] : s.predicted_vs_real_ms) {
+      f.f64(pred);
+      f.f64(real);
+    }
+  }
   return f.h;
 }
 
@@ -208,7 +110,15 @@ std::vector<SpecSweepRun> run_spec_sweep(std::vector<SpecSweepPoint> grid,
                                          const SweepOptions& opts) {
   std::vector<SpecSweepRun> runs(grid.size());
   if (grid.empty()) return runs;
+  // Freeze the process-global obs state for the duration of the sweep:
+  // the registries are shared and unsynchronized, and per-run metrics
+  // must not interleave anyway. Freezing also makes a serial sweep
+  // observe exactly what a parallel sweep observes (e.g.
+  // MultiStationResult::invariant_violations reads the global counter).
   const ObsFreeze freeze;
+  // Attribution opt-in: written once before any worker starts and only
+  // read during the pool, so the switch itself is race-free. ObsFreeze's
+  // destructor restores the pre-sweep state on exit.
   if (opts.attrib) obs::set_attrib_enabled(true);
   run_indexed_pool(grid.size(), opts.threads, [&grid, &runs](std::size_t i) {
     // zlint-allow(banned-api): wall-clock throughput probe only.

@@ -35,6 +35,11 @@ class Pool {
     return idx;
   }
 
+  /// Claim a free slot without overwriting it: a recycled object keeps
+  /// whatever its last user left (a vector cleared before release() keeps
+  /// its capacity), a fresh slot holds a value-initialised T.
+  Index claim() { return acquire(); }
+
   /// Access a resident object. The reference is stable until release().
   [[nodiscard]] T& at(Index idx) { return slots_[idx].value; }
   [[nodiscard]] const T& at(Index idx) const { return slots_[idx].value; }

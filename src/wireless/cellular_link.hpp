@@ -59,6 +59,10 @@ class CellularLink {
 
   [[nodiscard]] queue::Qdisc& qdisc() { return qdisc_; }
   [[nodiscard]] std::uint64_t delivered_packets() const { return delivered_; }
+  /// The pooled TTI aggregates (footprint tests).
+  [[nodiscard]] const sim::Pool<std::vector<Packet>>& aggregates() const {
+    return aggregates_;
+  }
 
  private:
   void tick() {
@@ -95,7 +99,7 @@ class CellularLink {
         continue;
       }
       if (!have_agg) {
-        agg_idx = aggregates_.put({});
+        agg_idx = aggregates_.claim();  // cleared at delivery, capacity kept
         have_agg = true;
       }
       aggregates_.at(agg_idx).push_back(std::move(*p));

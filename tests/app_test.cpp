@@ -1,16 +1,20 @@
-// End-to-end integration tests for the scenario harness: smoke coverage
-// of every protocol x AP-mode x qdisc combination, determinism, and the
-// headline Zhuge behaviour on a controlled bandwidth drop; plus the
-// AccessPoint's per-flow table across registration, unregistration and
-// optimiser restart.
+// End-to-end integration tests for the scenario engine: smoke coverage
+// of every flow kind x AP-mode x qdisc combination, determinism, the
+// headline Zhuge behaviour on a controlled bandwidth drop, and the spec
+// features the figure benches use (bulk competitors, interferers, MCS
+// re-rolls, the series flow); plus the AccessPoint's per-flow table across
+// registration, unregistration and optimiser restart.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "app/access_point.hpp"
 #include "app/scenario.hpp"
+#include "app/sweep.hpp"
 #include "trace/synthetic.hpp"
 
 namespace zhuge::app {
@@ -20,19 +24,33 @@ using sim::Duration;
 using sim::TimePoint;
 using namespace sim::literals;
 
-trace::Trace steady_trace() { return trace::constant_trace(20e6, 30_s); }
+std::shared_ptr<const trace::Trace> shared(trace::Trace tr) {
+  return std::make_shared<const trace::Trace>(std::move(tr));
+}
 
-ScenarioConfig base_config(const trace::Trace& tr) {
-  ScenarioConfig cfg;
-  cfg.channel_trace = &tr;
-  cfg.duration = 20_s;
-  cfg.warmup = 3_s;
-  cfg.seed = 5;
-  return cfg;
+std::shared_ptr<const trace::Trace> steady_trace() {
+  return shared(trace::constant_trace(20e6, 30_s));
+}
+
+/// One station whose downlink follows `tr`, one 1080p24 RTC flow of `kind`
+/// (flow 0, recorded as the series flow), 20 s with a 3 s warm-up.
+ScenarioSpec base_spec(std::shared_ptr<const trace::Trace> tr,
+                       SpecFlowKind kind = SpecFlowKind::kRtpGcc) {
+  ScenarioSpec spec;
+  spec.duration_s = 20.0;
+  spec.warmup_s = 3.0;
+  spec.seed = 5;
+  spec.ap_mode = ApMode::kNone;
+  StationGroupSpec station;
+  station.trace = std::move(tr);
+  spec.stations.push_back(station);
+  spec.flows.push_back(SpecFlow{.kind = kind, .zhuge = true, .fps = 24.0});
+  spec.series_flow = 0;
+  return spec;
 }
 
 struct Combo {
-  Protocol protocol;
+  SpecFlowKind kind;
   ApMode mode;
   QdiscKind qdisc;
 };
@@ -40,163 +58,142 @@ struct Combo {
 class ScenarioSmokeTest : public ::testing::TestWithParam<Combo> {};
 
 TEST_P(ScenarioSmokeTest, RunsAndDeliversVideo) {
-  const auto tr = steady_trace();
-  ScenarioConfig cfg = base_config(tr);
-  cfg.protocol = GetParam().protocol;
-  cfg.ap.mode = GetParam().mode;
-  cfg.ap.qdisc = GetParam().qdisc;
-  if (cfg.protocol == Protocol::kTcp && cfg.ap.mode == ApMode::kAbc) {
-    cfg.tcp_cca = TcpCcaKind::kAbc;
-  }
-  const auto r = run_scenario(cfg);
-  const auto& f = r.primary();
+  ScenarioSpec spec = base_spec(steady_trace(), GetParam().kind);
+  spec.ap_mode = GetParam().mode;
+  spec.stations.front().qdisc = GetParam().qdisc;
+  const auto r = run_multi_station(spec);
+  const auto& f = r.flows.front();
   // A clean 20 Mbps channel must deliver nearly all frames with low delay.
   EXPECT_GT(f.frames_decoded, 300u);
   EXPECT_LT(f.network_rtt_ms.quantile(0.5), 150.0);
   EXPECT_GT(f.goodput_bps, 1e6);
-  EXPECT_GT(f.frame_rate_fps.quantile(0.5), 20.0);
+  EXPECT_GT(r.series->frame_rate_fps.quantile(0.5), 20.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Combos, ScenarioSmokeTest,
     ::testing::Values(
-        Combo{Protocol::kRtp, ApMode::kNone, QdiscKind::kFifo},
-        Combo{Protocol::kRtp, ApMode::kNone, QdiscKind::kCoDel},
-        Combo{Protocol::kRtp, ApMode::kNone, QdiscKind::kFqCoDel},
-        Combo{Protocol::kRtp, ApMode::kZhuge, QdiscKind::kFifo},
-        Combo{Protocol::kRtp, ApMode::kZhuge, QdiscKind::kCoDel},
-        Combo{Protocol::kTcp, ApMode::kNone, QdiscKind::kFifo},
-        Combo{Protocol::kTcp, ApMode::kZhuge, QdiscKind::kFifo},
-        Combo{Protocol::kTcp, ApMode::kFastAck, QdiscKind::kFifo},
-        Combo{Protocol::kTcp, ApMode::kAbc, QdiscKind::kFifo}));
+        Combo{SpecFlowKind::kRtpGcc, ApMode::kNone, QdiscKind::kFifo},
+        Combo{SpecFlowKind::kRtpGcc, ApMode::kNone, QdiscKind::kCoDel},
+        Combo{SpecFlowKind::kRtpGcc, ApMode::kNone, QdiscKind::kFqCoDel},
+        Combo{SpecFlowKind::kRtpGcc, ApMode::kZhuge, QdiscKind::kFifo},
+        Combo{SpecFlowKind::kRtpGcc, ApMode::kZhuge, QdiscKind::kCoDel},
+        Combo{SpecFlowKind::kTcpCopa, ApMode::kNone, QdiscKind::kFifo},
+        Combo{SpecFlowKind::kTcpCopa, ApMode::kZhuge, QdiscKind::kFifo},
+        Combo{SpecFlowKind::kTcpCopa, ApMode::kFastAck, QdiscKind::kFifo},
+        Combo{SpecFlowKind::kTcpAbc, ApMode::kAbc, QdiscKind::kFifo}));
 
 TEST(Scenario, DeterministicForSameSeed) {
-  const auto tr = trace::make_trace(trace::TraceKind::kOfficeWifi, 3, 20_s);
-  ScenarioConfig cfg = base_config(tr);
-  cfg.protocol = Protocol::kRtp;
-  cfg.ap.mode = ApMode::kZhuge;
-  const auto a = run_scenario(cfg);
-  const auto b = run_scenario(cfg);
+  ScenarioSpec spec =
+      base_spec(shared(trace::make_trace(trace::TraceKind::kOfficeWifi, 3, 20_s)));
+  spec.ap_mode = ApMode::kZhuge;
+  const auto a = run_multi_station(spec);
+  const auto b = run_multi_station(spec);
   EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_DOUBLE_EQ(a.primary().goodput_bps, b.primary().goodput_bps);
-  EXPECT_DOUBLE_EQ(a.primary().network_rtt_ms.quantile(0.99),
-                   b.primary().network_rtt_ms.quantile(0.99));
-  EXPECT_EQ(a.primary().frames_decoded, b.primary().frames_decoded);
+  EXPECT_EQ(multi_result_fingerprint(a), multi_result_fingerprint(b));
+  EXPECT_DOUBLE_EQ(a.flows[0].goodput_bps, b.flows[0].goodput_bps);
+  EXPECT_DOUBLE_EQ(a.flows[0].network_rtt_ms.quantile(0.99),
+                   b.flows[0].network_rtt_ms.quantile(0.99));
+  EXPECT_EQ(a.flows[0].frames_decoded, b.flows[0].frames_decoded);
 }
 
 TEST(Scenario, SeedChangesOutcome) {
-  const auto tr = trace::make_trace(trace::TraceKind::kOfficeWifi, 3, 20_s);
-  ScenarioConfig cfg = base_config(tr);
-  const auto a = run_scenario(cfg);
-  cfg.seed = 6;
-  const auto b = run_scenario(cfg);
+  ScenarioSpec spec =
+      base_spec(shared(trace::make_trace(trace::TraceKind::kOfficeWifi, 3, 20_s)));
+  const auto a = run_multi_station(spec);
+  const auto b = run_multi_station(spec, 6);
   EXPECT_NE(a.events_executed, b.events_executed);
 }
 
 TEST(Scenario, TcpCcaVariantsAllRun) {
-  const auto tr = steady_trace();
-  for (TcpCcaKind cca : {TcpCcaKind::kCopa, TcpCcaKind::kBbr, TcpCcaKind::kCubic}) {
-    ScenarioConfig cfg = base_config(tr);
-    cfg.protocol = Protocol::kTcp;
-    cfg.tcp_cca = cca;
-    const auto r = run_scenario(cfg);
-    EXPECT_GT(r.primary().frames_decoded, 250u) << static_cast<int>(cca);
-  }
-}
-
-TEST(Scenario, NadaAndScreamVariantsRun) {
-  const auto tr = steady_trace();
-  for (const auto cca : {transport::RtpCca::kNada, transport::RtpCca::kScream}) {
-    ScenarioConfig cfg = base_config(tr);
-    cfg.protocol = Protocol::kRtp;
-    cfg.rtp_cca = cca;
-    const auto r = run_scenario(cfg);
-    EXPECT_GT(r.primary().frames_decoded, 300u) << static_cast<int>(cca);
-    EXPECT_GT(r.primary().goodput_bps, 1e6) << static_cast<int>(cca);
+  for (SpecFlowKind kind :
+       {SpecFlowKind::kTcpCopa, SpecFlowKind::kTcpBbr, SpecFlowKind::kTcpCubic}) {
+    const auto r = run_multi_station(base_spec(steady_trace(), kind));
+    EXPECT_GT(r.flows[0].frames_decoded, 250u) << to_string(kind);
   }
 }
 
 TEST(Scenario, CellularLinkRuns) {
-  const auto tr = trace::make_trace(trace::TraceKind::kCity4G, 3, 20_s);
-  ScenarioConfig cfg = base_config(tr);
-  cfg.ap.link = LinkKind::kCellular;
+  ScenarioSpec spec =
+      base_spec(shared(trace::make_trace(trace::TraceKind::kCity4G, 3, 20_s)));
+  spec.stations.front().link = LinkKind::kCellular;
   for (ApMode mode : {ApMode::kNone, ApMode::kZhuge}) {
-    cfg.ap.mode = mode;
-    const auto r = run_scenario(cfg);
-    EXPECT_GT(r.primary().frames_decoded, 300u);
+    spec.ap_mode = mode;
+    const auto r = run_multi_station(spec);
+    EXPECT_GT(r.flows[0].frames_decoded, 300u);
   }
 }
 
 TEST(Scenario, CompetingFlowsDegradeRtc) {
-  const auto tr = steady_trace();
-  ScenarioConfig cfg = base_config(tr);
-  cfg.protocol = Protocol::kRtp;
-  const auto clean = run_scenario(cfg);
-  cfg.competing_bulk_flows = 8;
-  const auto contended = run_scenario(cfg);
+  ScenarioSpec spec = base_spec(steady_trace());
+  const auto clean = run_multi_station(spec);
+  for (int i = 0; i < 8; ++i) {
+    spec.flows.push_back(SpecFlow{.kind = SpecFlowKind::kTcpBulk});
+  }
+  const auto contended = run_multi_station(spec);
   // Bulk CUBIC flows through the same FIFO must hurt the RTC flow's RTT.
-  EXPECT_GT(contended.primary().network_rtt_ms.quantile(0.9),
-            clean.primary().network_rtt_ms.quantile(0.9));
+  EXPECT_GT(contended.flows[0].network_rtt_ms.quantile(0.9),
+            clean.flows[0].network_rtt_ms.quantile(0.9));
+  // The bulk flows are backlogged: together they take most of the link.
+  double bulk_bps = 0.0;
+  for (std::size_t i = 1; i < contended.flows.size(); ++i) {
+    bulk_bps += contended.flows[i].goodput_bps;
+  }
+  EXPECT_GT(bulk_bps, 10e6);
 }
 
 TEST(Scenario, InterferersReduceThroughput) {
-  ScenarioConfig cfg;
-  cfg.channel_trace = nullptr;  // PHY mode
-  cfg.mcs_index = 3;            // 26 Mbps
-  cfg.duration = 20_s;
-  cfg.warmup = 3_s;
-  cfg.interferers = 30;
-  const auto noisy = run_scenario(cfg);
-  cfg.interferers = 0;
-  const auto clean = run_scenario(cfg);
-  EXPECT_LT(noisy.primary().goodput_bps, clean.primary().goodput_bps);
-  EXPECT_GT(noisy.primary().network_rtt_ms.quantile(0.9),
-            clean.primary().network_rtt_ms.quantile(0.9));
+  ScenarioSpec spec = base_spec(nullptr);  // PHY mode
+  spec.seed = 1;
+  spec.stations.front().mcs = 3;  // 26 Mbps
+  spec.interferers = 30;
+  const auto noisy = run_multi_station(spec);
+  spec.interferers = 0;
+  const auto clean = run_multi_station(spec);
+  EXPECT_LT(noisy.flows[0].goodput_bps, clean.flows[0].goodput_bps);
+  EXPECT_GT(noisy.flows[0].network_rtt_ms.quantile(0.9),
+            clean.flows[0].network_rtt_ms.quantile(0.9));
 }
 
 TEST(Scenario, ZhugeCutsDegradationAfterAbwDrop) {
   // The paper's headline microbenchmark (Fig. 14): 30 Mbps -> 3 Mbps.
-  const auto tr = trace::step_trace(30e6, 3e6, 20_s, 40_s);
-  ScenarioConfig cfg;
-  cfg.channel_trace = &tr;
-  cfg.duration = 40_s;
-  cfg.warmup = 3_s;
-  cfg.seed = 3;
-  cfg.video.max_bitrate_bps = 40e6;        // let the CCA fill the link
-  cfg.ap.queue_limit_bytes = 100 * 1500;   // NS-3-style bottleneck buffer
+  ScenarioSpec spec = base_spec(shared(trace::step_trace(30e6, 3e6, 20_s, 40_s)));
+  spec.duration_s = 40.0;
+  spec.seed = 3;
+  spec.flows.front().max_bitrate_mbps = 40.0;  // let the CCA fill the link
+  spec.stations.front().queue_limit_bytes = 100 * 1500;  // NS-3-style buffer
 
-  auto degradation = [&](ApMode mode, Protocol proto) {
-    cfg.ap.mode = mode;
-    cfg.protocol = proto;
-    const auto r = run_scenario(cfg);
-    return r.rtt_series_ms
+  auto degradation = [&](ApMode mode) {
+    spec.ap_mode = mode;
+    const auto r = run_multi_station(spec);
+    return r.series->rtt_ms
         .time_above(200.0, TimePoint::zero() + 20_s, TimePoint::zero() + 40_s)
         .to_seconds();
   };
-  const double rtp_base = degradation(ApMode::kNone, Protocol::kRtp);
-  const double rtp_zhuge = degradation(ApMode::kZhuge, Protocol::kRtp);
+  const double rtp_base = degradation(ApMode::kNone);
+  const double rtp_zhuge = degradation(ApMode::kZhuge);
   EXPECT_LT(rtp_zhuge, rtp_base);  // the shorter control loop must pay off
   EXPECT_GT(rtp_base, 0.5);        // the drop visibly hurts the baseline
 }
 
 TEST(Scenario, ZhugePredictionErrorIsBounded) {
-  const auto tr = trace::make_trace(trace::TraceKind::kRestaurantWifi, 3, 30_s);
-  ScenarioConfig cfg = base_config(tr);
-  cfg.duration = 30_s;
-  cfg.ap.mode = ApMode::kZhuge;
-  const auto r = run_scenario(cfg);
+  ScenarioSpec spec = base_spec(
+      shared(trace::make_trace(trace::TraceKind::kRestaurantWifi, 3, 30_s)));
+  spec.duration_s = 30.0;
+  spec.ap_mode = ApMode::kZhuge;
+  const auto r = run_multi_station(spec);
   ASSERT_GT(r.prediction_error_ms.count(), 1000u);
   // Paper Fig. 19: most predictions err well below the 50 ms RTT.
   EXPECT_LT(r.prediction_error_ms.quantile(0.5), 25.0);
+  // The series flow is the only flow: it carries every prediction.
+  EXPECT_EQ(r.series->predicted_vs_real_ms.size(), r.prediction_error_ms.count());
 }
 
 TEST(Scenario, FairnessBetweenTwoOptimisedFlows) {
-  const auto tr = steady_trace();
-  ScenarioConfig cfg = base_config(tr);
-  cfg.protocol = Protocol::kRtp;
-  cfg.rtc_flows = 2;
-  cfg.ap.mode = ApMode::kZhuge;
-  const auto r = run_scenario(cfg);
+  ScenarioSpec spec = base_spec(steady_trace());
+  spec.ap_mode = ApMode::kZhuge;
+  spec.flows.push_back(spec.flows.front());
+  const auto r = run_multi_station(spec);
   ASSERT_EQ(r.flows.size(), 2u);
   const double a = r.flows[0].goodput_bps;
   const double b = r.flows[1].goodput_bps;
@@ -204,38 +201,66 @@ TEST(Scenario, FairnessBetweenTwoOptimisedFlows) {
 }
 
 TEST(Scenario, MixedOptimisationDoesNotStarveTheOther) {
-  const auto tr = steady_trace();
-  ScenarioConfig cfg = base_config(tr);
-  cfg.protocol = Protocol::kRtp;
-  cfg.rtc_flows = 2;
-  cfg.ap.mode = ApMode::kZhuge;
-  cfg.optimize_flow = {true, false};  // paper Fig. 20 bar (b)
-  const auto r = run_scenario(cfg);
+  ScenarioSpec spec = base_spec(steady_trace());
+  spec.ap_mode = ApMode::kZhuge;
+  spec.flows.push_back(spec.flows.front());
+  spec.flows[1].zhuge = false;  // paper Fig. 20 bar (b)
+  const auto r = run_multi_station(spec);
   const double a = r.flows[0].goodput_bps;
   const double b = r.flows[1].goodput_bps;
   EXPECT_GT(std::min(a, b) / std::max(a, b), 0.75);
 }
 
 TEST(Scenario, ScpAndMcsScenariosRun) {
-  ScenarioConfig cfg;
-  cfg.mcs_index = 5;
-  cfg.duration = 20_s;
-  cfg.warmup = 3_s;
-  cfg.scp_periodic_competitor = true;
-  cfg.mcs_random_switch = true;
-  const auto r = run_scenario(cfg);
-  EXPECT_GT(r.primary().frames_decoded, 250u);
+  ScenarioSpec spec = base_spec(nullptr);
+  spec.seed = 1;
+  spec.stations.front().mcs = 5;
+  spec.stations.front().mcs_reroll_s = 30.0;
+  // Fig. 18 "scp": a bulk transfer that toggles every 30 s.
+  spec.flows.push_back(SpecFlow{.kind = SpecFlowKind::kTcpBulk, .start_s = 5.0,
+                                .stop_s = 12.0});
+  const auto r = run_multi_station(spec);
+  EXPECT_GT(r.flows[0].frames_decoded, 250u);
+  EXPECT_GT(r.flows[1].packets_delivered, 0u);
+  EXPECT_EQ(r.departures, 1u);
+}
+
+TEST(Scenario, McsRerollRedrawsTheChannel) {
+  // Every re-roll draws a fresh MCS from the auxiliary substream: a
+  // rich video over MCS 7 must see a different run once re-rolls start.
+  ScenarioSpec spec = base_spec(nullptr);
+  spec.flows.front().max_bitrate_mbps = 12.0;
+  const auto fixed = run_multi_station(spec);
+  spec.stations.front().mcs_reroll_s = 4.0;
+  const auto rerolled = run_multi_station(spec);
+  EXPECT_NE(multi_result_fingerprint(fixed), multi_result_fingerprint(rerolled));
 }
 
 TEST(Scenario, RunNoLongerThanWarmupReportsZeroGoodput) {
   // Nothing is measured before the warm-up ends: goodput over an empty
   // window is 0, not 0/0.
-  const auto tr = steady_trace();
-  ScenarioConfig cfg = base_config(tr);
-  cfg.duration = 3_s;
-  const auto r = run_scenario(cfg);
-  EXPECT_EQ(r.primary().goodput_bps, 0.0);
-  EXPECT_EQ(r.primary().network_rtt_ms.count(), 0u);
+  ScenarioSpec spec = base_spec(steady_trace());
+  spec.duration_s = 3.0;  // == warmup_s
+  const auto r = run_multi_station(spec);
+  EXPECT_EQ(r.flows[0].goodput_bps, 0.0);
+  EXPECT_EQ(r.flows[0].network_rtt_ms.count(), 0u);
+}
+
+TEST(Scenario, SeriesOffAddsNoSeriesAndKeepsFingerprint) {
+  // series_flow only adds recording: switching it off drops the record
+  // and leaves every other output bit-identical, events included.
+  ScenarioSpec with = base_spec(steady_trace());
+  ScenarioSpec without = with;
+  without.series_flow = -1;
+  const auto a = run_multi_station(with);
+  const auto b = run_multi_station(without);
+  ASSERT_TRUE(a.series.has_value());
+  EXPECT_FALSE(b.series.has_value());
+  EXPECT_EQ(a.flows[0].goodput_bps, b.flows[0].goodput_bps);
+  EXPECT_EQ(a.agg_network_rtt_ms.samples(), b.agg_network_rtt_ms.samples());
+  // The 50 ms sampler is the only extra event source.
+  EXPECT_EQ(a.events_executed - b.events_executed,
+            static_cast<std::uint64_t>(20.0 / 0.05));
 }
 
 /// An AccessPoint in Zhuge mode with three stations, driven by hand (the
@@ -243,7 +268,6 @@ TEST(Scenario, RunNoLongerThanWarmupReportsZeroGoodput) {
 struct ApTableFixture {
   sim::Simulator sim;
   sim::Rng rng{3, 11};
-  wireless::Channel channel{7};
   wireless::Channel station_channel{7};
   wireless::Medium medium{sim, rng, wireless::Medium::Config{}};
   std::vector<Packet> to_server;
@@ -251,7 +275,7 @@ struct ApTableFixture {
   std::uint64_t next_uid = 1;
 
   ApTableFixture()
-      : ap(sim, rng, channel, medium, zhuge_config(), [](Packet&&) {},
+      : ap(sim, rng, medium, zhuge_config(), [](Packet&&) {},
            [this](Packet&& p) { to_server.push_back(std::move(p)); }) {
     for (std::uint32_t ip : {100u, 101u, 102u}) {
       ap.register_station(ip, station_channel, AccessPoint::StationConfig{});

@@ -68,8 +68,21 @@ TEST(Golden, CompareReportsFingerprintAndHeadlineDrift) {
   EXPECT_NE(diffs[1].find("rtt_p50_ms"), std::string::npos);
 }
 
+TEST(Golden, EmbeddedSpecsParse) {
+  // The canonical goldens are embedded JSON specs: each must parse under
+  // the strict grammar and record flow 0's series.
+  for (const auto& name : golden_scenario_names()) {
+    SCOPED_TRACE(name);
+    const auto spec = golden_scenario_spec(name);
+    ASSERT_TRUE(spec.has_value());
+    EXPECT_EQ(spec->name, name);
+    EXPECT_EQ(spec->series_flow, 0);
+  }
+  EXPECT_TRUE(golden_scenario_spec("chaos_burst")->faults->downlink_wan.any());
+}
+
 TEST(Golden, UnknownScenarioRejected) {
-  EXPECT_FALSE(golden_scenario_config("nope").has_value());
+  EXPECT_FALSE(golden_scenario_spec("nope").has_value());
   EXPECT_FALSE(compute_golden("nope").has_value());
 }
 

@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 #include <string>
 
 #include "app/spec.hpp"
 #include "prop.hpp"
+#include "trace/synthetic.hpp"
+#include "trace/trace.hpp"
 
 namespace zhuge::app {
 namespace {
@@ -124,13 +127,97 @@ TEST(ScenarioSpecParse, RejectsStructuralErrors) {
   }
 }
 
-TEST(ScenarioSpecParse, UnknownKeysIgnoredForwardCompat) {
+TEST(ScenarioSpecParse, RejectsUnknownKeysEverywhere) {
+  // Strict grammar: a typo in any section fails instead of silently
+  // running a different scenario.
+  const char* bad[] = {
+      R"({"stations": [{}], "new_top": {}})",
+      R"({"stations": [{"count": 1, "future_knob": 3}]})",
+      R"({"stations": [{"fade": {"period": 2}}]})",
+      R"({"stations": [{}], "flows": [{"kind": "rtp_gcc", "zhuge_on": true}]})",
+      R"({"stations": [{}], "churn": {"mix_rtp": 1}})",
+      R"({"stations": [{}], "faults": {"downlink_wan": {"los_prob": 0.1}}})",
+      R"({"stations": [{}], "faults": {"clock_jumps": [{"at": 1}]}})",
+  };
+  for (const char* text : bad) {
+    std::string err;
+    EXPECT_FALSE(parse_scenario_spec(text, &err).has_value()) << text;
+    EXPECT_NE(err.find("unknown key '"), std::string::npos) << err;
+  }
+}
+
+TEST(ScenarioSpecParse, NewKeysParse) {
+  std::string err;
+  const auto spec = parse_scenario_spec(R"({
+    "name": "keys", "duration_s": 40, "interferers": 5, "series_flow": 1,
+    "zhuge_initial_ladder": "hold_only",
+    "stations": [ { "count": 2, "link": "cellular", "mcs_reroll_s": 30 } ],
+    "flows": [ { "kind": "tcp_copa" }, { "kind": "tcp_bulk", "start_s": 3 } ],
+    "faults": {
+      "downlink_wan": { "burst": { "p_enter_bad": 0.02, "p_exit_bad": 0.25,
+                                   "loss_good": 0, "loss_bad": 0.5 },
+                        "start_s": 10, "end_s": 13 },
+      "uplink_wireless": { "blackouts": [ [ 10, 12 ] ] },
+      "downlink_wireless": { "loss_prob": 0.01 },
+      "uplink_wan": { "fade_delay_ms": 60, "fades": [ [ 10, 13 ] ] },
+      "ap_feedback": { "dup_prob": 0.3 },
+      "uplink_rtcp": { "spike_prob": 0.9, "spike_delay_ms": 120 },
+      "clock_jumps": [ { "at_s": 10.5, "delta_ms": 300 } ],
+      "ap_restarts": [ 11 ]
+    }
+  })", &err);
+  ASSERT_TRUE(spec.has_value()) << err;
+  EXPECT_EQ(spec->interferers, 5);
+  EXPECT_EQ(spec->series_flow, 1);
+  EXPECT_EQ(spec->zhuge.watchdog.initial_level, obs::LadderLevel::kHoldOnly);
+  EXPECT_EQ(spec->stations[0].link, LinkKind::kCellular);
+  EXPECT_DOUBLE_EQ(spec->stations[0].mcs_reroll_s, 30.0);
+  EXPECT_EQ(spec->flows[0].kind, SpecFlowKind::kTcpCopa);
+  EXPECT_EQ(spec->flows[1].kind, SpecFlowKind::kTcpBulk);
+  ASSERT_NE(spec->faults, nullptr);
+  const fault::FaultPlan& f = *spec->faults;
+  EXPECT_DOUBLE_EQ(f.downlink_wan.burst.p_enter_bad, 0.02);
+  EXPECT_DOUBLE_EQ(f.downlink_wan.burst.loss_bad, 0.5);
+  ASSERT_EQ(f.downlink_wan.active.size(), 1u);
+  EXPECT_EQ(f.downlink_wan.active[0].start,
+            sim::TimePoint::zero() + sim::Duration::seconds(10));
+  ASSERT_EQ(f.uplink_wireless.blackouts.size(), 1u);
+  EXPECT_EQ(f.uplink_wireless.blackouts[0].end,
+            sim::TimePoint::zero() + sim::Duration::seconds(12));
+  EXPECT_DOUBLE_EQ(f.downlink_wireless.loss_prob, 0.01);
+  EXPECT_FALSE(f.downlink_wireless.only_feedback);
+  EXPECT_EQ(f.uplink_wan.fade_delay, sim::Duration::millis(60));
+  EXPECT_TRUE(f.ap_feedback.only_feedback);
+  EXPECT_TRUE(f.uplink_rtcp.only_feedback);
+  EXPECT_EQ(f.uplink_rtcp.spike_delay, sim::Duration::millis(120));
+  ASSERT_EQ(f.clock_jumps.size(), 1u);
+  EXPECT_EQ(f.clock_jumps[0].delta, sim::Duration::millis(300));
+  ASSERT_EQ(f.ap_restarts.size(), 1u);
+  EXPECT_EQ(f.ap_restarts[0], sim::TimePoint::zero() + sim::Duration::seconds(11));
+}
+
+TEST(ScenarioSpecParse, ShippedSpecsParse) {
+  // Every spec the repo ships must stay valid under the strict grammar.
+  for (const char* path :
+       {ZHUGE_SPEC_DIR "/basic_rtp.json", ZHUGE_SPEC_DIR "/dense_64sta_churn.json",
+        ZHUGE_SPEC_DIR "/tcp_mix_fade.json",
+        ZHUGE_PERFBENCH_SPEC_DIR "/dense_64sta_churn.json",
+        ZHUGE_PERFBENCH_SPEC_DIR "/zhuge_feedback.json"}) {
+    std::string err;
+    EXPECT_TRUE(load_scenario_spec(path, &err).has_value()) << err;
+  }
+}
+
+TEST(ScenarioSpecParse, TraceCsvLoadsTheStationTrace) {
+  const std::string path = ::testing::TempDir() + "spec_test_trace.csv";
+  trace::save_csv(trace::constant_trace(12e6, sim::Duration::seconds(5)), path);
   std::string err;
   const auto spec = parse_scenario_spec(
-      R"({"stations": [{"count": 1, "future_knob": 3}], "new_top": {}})",
-      &err);
+      R"({"stations": [{"trace_csv": ")" + path + R"("}]})", &err);
   ASSERT_TRUE(spec.has_value()) << err;
-  EXPECT_EQ(spec->station_count(), 1);
+  ASSERT_NE(spec->stations[0].trace, nullptr);
+  EXPECT_NEAR(spec->stations[0].trace->mean_rate_bps(), 12e6, 1e3);
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -234,38 +321,56 @@ TEST(FlowSchedule, StaticFlowsComeFirstAndClampToRun) {
 // Known-bad fixtures: one file per strict-validation rejection path
 // ---------------------------------------------------------------------------
 
-// The feedback-fault and ladder sections are validated strictly (a typo
-// would silently run a *clean* scenario while claiming chaos coverage), so
-// every rejection path gets a checked-in fixture pinning both the message
-// and the "line N:" source anchor a user needs to find the mistake.
+// The whole grammar is validated strictly (a typo would silently run a
+// different scenario — for a fault section, a *clean* one claiming chaos
+// coverage), so every rejection path gets a checked-in fixture pinning
+// both the message and the "line N:" source anchor a user needs to find
+// the mistake.
 TEST(ScenarioSpecParse, KnownBadFixturesRejectWithLineNumbers) {
   struct Case {
     const char* file;
     const char* expect;  ///< full parse error, line prefix included
   };
   const Case cases[] = {
+      {"unknown_top_key.json", "line 5: unknown key 'warmup' in spec"},
+      {"unknown_station_key.json",
+       "line 6: unknown key 'queue_limit' in stations[]"},
+      {"unknown_fade_key.json",
+       "line 6: unknown key 'depth' in stations[].fade"},
+      {"unknown_flow_key.json", "line 7: unknown key 'stop' in flows[]"},
+      {"unknown_churn_key.json",
+       "line 7: unknown key 'mean_interarrival' in churn"},
+      {"unknown_burst_key.json",
+       "line 7: unknown key 'p_exit' in faults.downlink_wan.burst"},
       {"fault_unknown_key.json",
-       "line 6: feedback_faults.ap_feedback: unknown key \"los_prob\""},
+       "line 6: unknown key 'los_prob' in faults.ap_feedback"},
       {"fault_value_not_number.json",
-       "line 6: feedback_faults.ap_feedback: \"loss_prob\" must be a number"},
+       "line 6: faults.ap_feedback: \"loss_prob\" must be a number"},
       {"fault_prob_out_of_range.json",
-       "line 6: feedback_faults.uplink_rtcp: \"loss_prob\" must be in [0, 1]"},
+       "line 6: faults.uplink_rtcp: \"loss_prob\" must be in [0, 1]"},
       {"fault_negative_delay.json",
-       "line 6: feedback_faults.ap_feedback: \"spike_delay_ms\" must be >= 0"},
+       "line 6: faults.ap_feedback: \"spike_delay_ms\" must be >= 0"},
       {"fault_negative_start.json",
-       "line 6: feedback_faults.uplink_rtcp: \"start_s\" must be >= 0"},
+       "line 6: faults.uplink_rtcp: \"start_s\" must be >= 0"},
       {"fault_window_inverted.json",
-       "line 6: feedback_faults.uplink_rtcp: \"end_s\" must be > start_s"},
+       "line 6: faults.uplink_rtcp: \"end_s\" must be > start_s"},
+      {"fault_blackout_inverted.json",
+       "line 7: faults.downlink_wireless: \"blackouts\" must be a list of "
+       "[start_s, end_s] pairs with 0 <= start_s < end_s"},
       {"fault_unknown_boundary.json",
-       "line 6: feedback_faults: unknown key \"client_rtcp\" "
-       "(expected ap_feedback|uplink_rtcp)"},
+       "line 6: unknown key 'client_rtcp' in faults"},
       {"fault_section_not_object.json",
-       "line 5: \"feedback_faults\" must be an object"},
+       "line 5: \"faults\" must be an object"},
       {"fault_boundary_not_object.json",
-       "line 6: feedback_faults.ap_feedback: must be an object"},
+       "line 6: faults.ap_feedback: must be an object"},
       {"ladder_unknown_level.json",
        "line 5: zhuge_initial_ladder must be "
        "full|clamped_predict|hold_only|pass_through"},
+      {"bad_link.json", "line 4: stations[].link must be wifi|cellular"},
+      {"series_flow_out_of_range.json",
+       "line 6: series_flow must be -1 or the index of a flows[] entry"},
+      {"station_csv_missing.json",
+       "line 5: stations[].trace_csv: trace: cannot open no/such/trace.csv"},
   };
   for (const auto& c : cases) {
     const std::string path =

@@ -1,11 +1,13 @@
-// Tests for the parallel sweep runner: serial vs multi-thread
-// bit-identity of per-run results (the PR 3 acceptance criterion), grid
-// construction, fingerprint sensitivity, and metric aggregation.
+// Tests for the parallel spec-sweep runner: serial vs multi-thread
+// bit-identity of per-run results, grid construction, fingerprint
+// sensitivity, and metric aggregation.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "app/sweep.hpp"
@@ -18,52 +20,65 @@ namespace {
 using sim::Duration;
 using namespace sim::literals;
 
+/// One station following `tr`, one 1080p24 RTC flow of `kind` on an AP
+/// running `mode`.
+ScenarioSpec single_flow_spec(std::string name, ApMode mode, SpecFlowKind kind,
+                              std::shared_ptr<const trace::Trace> tr,
+                              double duration_s) {
+  ScenarioSpec spec;
+  spec.name = std::move(name);
+  spec.duration_s = duration_s;
+  spec.warmup_s = 2.0;
+  spec.ap_mode = mode;
+  StationGroupSpec station;
+  station.trace = std::move(tr);
+  spec.stations.push_back(station);
+  spec.flows.push_back(SpecFlow{.kind = kind, .zhuge = true, .fps = 24.0});
+  return spec;
+}
+
+std::shared_ptr<const trace::Trace> shared(trace::Trace tr) {
+  return std::make_shared<const trace::Trace>(std::move(tr));
+}
+
 /// 4 scenarios x 4 seeds = the 16-point grid from the acceptance
 /// criterion. Duration comfortably exceeds the warmup so post-warmup
 /// distributions are populated and fingerprints reflect real traffic.
-std::vector<SweepPoint> sixteen_point_grid(const trace::Trace& tr) {
-  std::vector<SweepPoint> scenarios;
-  const auto add = [&](std::string name, ApMode mode, Protocol proto) {
-    SweepPoint p;
-    p.name = std::move(name);
-    p.config.protocol = proto;
-    p.config.ap.mode = mode;
-    p.config.channel_trace = &tr;
-    p.config.duration = 8_s;
-    p.config.warmup = 2_s;
-    scenarios.push_back(std::move(p));
+std::vector<SpecSweepPoint> sixteen_point_grid(
+    const std::shared_ptr<const trace::Trace>& tr) {
+  std::vector<SpecSweepPoint> grid;
+  const auto add = [&](std::string name, ApMode mode, SpecFlowKind kind) {
+    const ScenarioSpec spec = single_flow_spec(std::move(name), mode, kind, tr, 8.0);
+    for (const auto& p : cross_spec_seeds(spec, {1, 2, 3, 4})) grid.push_back(p);
   };
-  add("rtp-none", ApMode::kNone, Protocol::kRtp);
-  add("rtp-zhuge", ApMode::kZhuge, Protocol::kRtp);
-  add("rtp-fastack", ApMode::kFastAck, Protocol::kRtp);
-  add("tcp-zhuge", ApMode::kZhuge, Protocol::kTcp);
-  return cross_seeds(scenarios, {1, 2, 3, 4});
+  add("rtp-none", ApMode::kNone, SpecFlowKind::kRtpGcc);
+  add("rtp-zhuge", ApMode::kZhuge, SpecFlowKind::kRtpGcc);
+  add("rtp-fastack", ApMode::kFastAck, SpecFlowKind::kRtpGcc);
+  add("tcp-zhuge", ApMode::kZhuge, SpecFlowKind::kTcpCopa);
+  return grid;
 }
 
 TEST(Sweep, CrossSeedsBuildsNamedGrid) {
-  std::vector<SweepPoint> scenarios(2);
-  scenarios[0].name = "a";
-  scenarios[1].name = "b";
-  const auto grid = cross_seeds(scenarios, {7, 9});
-  ASSERT_EQ(grid.size(), 4u);
+  ScenarioSpec spec;
+  spec.name = "a";
+  const auto grid = cross_spec_seeds(spec, {7, 9});
+  ASSERT_EQ(grid.size(), 2u);
   EXPECT_EQ(grid[0].name, "a/s7");
   EXPECT_EQ(grid[0].seed, 7u);
   EXPECT_EQ(grid[1].name, "a/s9");
-  EXPECT_EQ(grid[2].name, "b/s7");
-  EXPECT_EQ(grid[3].name, "b/s9");
-  EXPECT_EQ(grid[3].seed, 9u);
+  EXPECT_EQ(grid[1].seed, 9u);
+  EXPECT_EQ(grid[1].spec.name, "a");
 }
 
 TEST(Sweep, EightThreadsBitIdenticalToSerial) {
   // The acceptance criterion: every per-run fingerprint from an 8-thread
   // sweep of the 16-point grid must equal the serial run's, bit for bit.
-  const trace::Trace tr =
-      trace::make_trace(trace::TraceKind::kRestaurantWifi, 7, 8_s);
-  const auto grid = sixteen_point_grid(tr);
+  const auto grid = sixteen_point_grid(
+      shared(trace::make_trace(trace::TraceKind::kRestaurantWifi, 7, 8_s)));
   ASSERT_EQ(grid.size(), 16u);
 
-  const auto serial = run_sweep(grid, {.threads = 1});
-  const auto parallel = run_sweep(grid, {.threads = 8});
+  const auto serial = run_spec_sweep(grid, {.threads = 1});
+  const auto parallel = run_spec_sweep(grid, {.threads = 8});
   ASSERT_EQ(serial.size(), 16u);
   ASSERT_EQ(parallel.size(), 16u);
 
@@ -75,10 +90,10 @@ TEST(Sweep, EightThreadsBitIdenticalToSerial) {
     // fingerprint bug cannot mask a real divergence.
     EXPECT_EQ(parallel[i].result.events_executed,
               serial[i].result.events_executed);
-    EXPECT_EQ(parallel[i].result.primary().goodput_bps,
-              serial[i].result.primary().goodput_bps);
-    EXPECT_EQ(parallel[i].result.primary().frames_decoded,
-              serial[i].result.primary().frames_decoded);
+    EXPECT_EQ(parallel[i].result.flows[0].goodput_bps,
+              serial[i].result.flows[0].goodput_bps);
+    EXPECT_EQ(parallel[i].result.flows[0].frames_decoded,
+              serial[i].result.flows[0].frames_decoded);
   }
 
   // Sanity: the grid is not degenerate — seeds and scenarios genuinely
@@ -90,18 +105,13 @@ TEST(Sweep, EightThreadsBitIdenticalToSerial) {
 }
 
 TEST(Sweep, RepeatedRunsAreReproducible) {
-  const trace::Trace tr =
-      trace::make_trace(trace::TraceKind::kRestaurantWifi, 3, 6_s);
-  std::vector<SweepPoint> scenarios(1);
-  scenarios[0].name = "rtp-zhuge";
-  scenarios[0].config.ap.mode = ApMode::kZhuge;
-  scenarios[0].config.channel_trace = &tr;
-  scenarios[0].config.duration = 6_s;
-  scenarios[0].config.warmup = 2_s;
-  const auto grid = cross_seeds(scenarios, {1, 2});
+  const ScenarioSpec spec = single_flow_spec(
+      "rtp-zhuge", ApMode::kZhuge, SpecFlowKind::kRtpGcc,
+      shared(trace::make_trace(trace::TraceKind::kRestaurantWifi, 3, 6_s)), 6.0);
+  const auto grid = cross_spec_seeds(spec, {1, 2});
 
-  const auto first = run_sweep(grid, {.threads = 2});
-  const auto second = run_sweep(grid, {.threads = 2});
+  const auto first = run_spec_sweep(grid, {.threads = 2});
+  const auto second = run_spec_sweep(grid, {.threads = 2});
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].fingerprint, second[i].fingerprint);
@@ -112,29 +122,39 @@ TEST(Sweep, RepeatedRunsAreReproducible) {
 TEST(Sweep, FingerprintIgnoresQuantileReads) {
   // Quantile queries sort a cached copy, never the samples the
   // fingerprint hashes in insertion order.
-  const trace::Trace tr =
-      trace::make_trace(trace::TraceKind::kRestaurantWifi, 3, 6_s);
-  std::vector<SweepPoint> scenarios(1);
-  scenarios[0].name = "rtp-zhuge";
-  scenarios[0].config.ap.mode = ApMode::kZhuge;
-  scenarios[0].config.channel_trace = &tr;
-  scenarios[0].config.duration = 6_s;
-  scenarios[0].config.warmup = 2_s;
-  const auto runs = run_sweep(cross_seeds(scenarios, {1}), {.threads = 1});
+  ScenarioSpec spec = single_flow_spec(
+      "rtp-zhuge", ApMode::kZhuge, SpecFlowKind::kRtpGcc,
+      shared(trace::make_trace(trace::TraceKind::kRestaurantWifi, 3, 6_s)), 6.0);
+  spec.series_flow = 0;
+  const auto runs = run_spec_sweep(cross_spec_seeds(spec, {1}), {.threads = 1});
   ASSERT_EQ(runs.size(), 1u);
-  const ScenarioResult& r = runs[0].result;
-  const std::uint64_t before = result_fingerprint(r);
+  const MultiStationResult& r = runs[0].result;
+  const std::uint64_t before = multi_result_fingerprint(r);
   EXPECT_EQ(before, runs[0].fingerprint);
-  ASSERT_GT(r.primary().frame_delay_ms.count(), 1u);
+  ASSERT_GT(r.flows[0].frame_delay_ms.count(), 1u);
   for (const auto& flow : r.flows) {
     (void)flow.network_rtt_ms.quantile(0.95);
     (void)flow.downlink_owd_ms.quantile(0.5);
     (void)flow.frame_delay_ms.quantile(0.99);
-    (void)flow.frame_rate_fps.min();
   }
-  (void)r.sender_rtt_ms.max();
+  (void)r.series->frame_rate_fps.min();
+  (void)r.agg_network_rtt_ms.max();
   (void)r.prediction_error_ms.ratio_above(1.0);
-  EXPECT_EQ(result_fingerprint(r), before);
+  EXPECT_EQ(multi_result_fingerprint(r), before);
+}
+
+TEST(Sweep, FingerprintCoversTheSeries) {
+  // The series flow's record is hashed when present: perturbing one
+  // recorded sample changes the fingerprint.
+  ScenarioSpec spec = single_flow_spec(
+      "rtp-zhuge", ApMode::kZhuge, SpecFlowKind::kRtpGcc,
+      shared(trace::constant_trace(20e6, 6_s)), 6.0);
+  spec.series_flow = 0;
+  MultiStationResult r = run_multi_station(spec);
+  const std::uint64_t before = multi_result_fingerprint(r);
+  ASSERT_FALSE(r.series->goodput_bps.points().empty());
+  r.series->predicted_vs_real_ms.emplace_back(1.0, 2.0);
+  EXPECT_NE(multi_result_fingerprint(r), before);
 }
 
 TEST(Sweep, RunSweepRestoresObsSwitches) {
@@ -142,13 +162,11 @@ TEST(Sweep, RunSweepRestoresObsSwitches) {
   const bool tracing_was = obs::tracing_enabled();
   const bool invariants_was = obs::invariants_enabled();
 
-  const trace::Trace tr = trace::constant_trace(20e6, 1_s);
-  std::vector<SweepPoint> scenarios(1);
-  scenarios[0].name = "tiny";
-  scenarios[0].config.channel_trace = &tr;
-  scenarios[0].config.duration = 1_s;
-  scenarios[0].config.warmup = Duration::zero();
-  (void)run_sweep(cross_seeds(scenarios, {1}), {.threads = 2});
+  ScenarioSpec spec = single_flow_spec("tiny", ApMode::kZhuge,
+                                       SpecFlowKind::kRtpGcc,
+                                       shared(trace::constant_trace(20e6, 1_s)), 1.0);
+  spec.warmup_s = 0.0;
+  (void)run_spec_sweep(cross_spec_seeds(spec, {1}), {.threads = 2});
 
   EXPECT_EQ(obs::metrics_enabled(), metrics_was);
   EXPECT_EQ(obs::tracing_enabled(), tracing_was);
@@ -156,22 +174,21 @@ TEST(Sweep, RunSweepRestoresObsSwitches) {
 }
 
 TEST(Sweep, ExportAggregatesPerRunMetrics) {
-  const trace::Trace tr = trace::constant_trace(20e6, 6_s);
-  std::vector<SweepPoint> scenarios(1);
-  scenarios[0].name = "steady";
-  scenarios[0].config.channel_trace = &tr;
-  scenarios[0].config.duration = 6_s;
-  scenarios[0].config.warmup = 2_s;
-  const auto runs = run_sweep(cross_seeds(scenarios, {1, 2}), {.threads = 2});
+  const ScenarioSpec spec = single_flow_spec(
+      "steady", ApMode::kZhuge, SpecFlowKind::kRtpGcc,
+      shared(trace::constant_trace(20e6, 6_s)), 6.0);
+  const auto runs =
+      run_spec_sweep(cross_spec_seeds(spec, {1, 2}), {.threads = 2});
 
   obs::Registry registry;
-  export_sweep_metrics(runs, registry);
-  EXPECT_EQ(registry.counter("sweep.total.runs").value(), 2u);
-  EXPECT_GT(registry.counter("sweep.total.events").value(), 0u);
-  EXPECT_GT(registry.gauge("sweep.steady/s1.goodput_bps").value(), 1e6);
-  EXPECT_GT(registry.gauge("sweep.steady/s2.rtt_p50_ms").value(), 0.0);
-  EXPECT_EQ(registry.counter("sweep.steady/s1.events").value(),
+  export_spec_sweep_metrics(runs, registry);
+  EXPECT_EQ(registry.counter("mssweep.total.runs").value(), 2u);
+  EXPECT_GT(registry.counter("mssweep.total.events").value(), 0u);
+  EXPECT_GT(registry.gauge("mssweep.steady/s1.rtt_p50_ms").value(), 0.0);
+  EXPECT_GT(registry.gauge("mssweep.steady/s2.frame_delay_p99_ms").value(), 0.0);
+  EXPECT_EQ(registry.counter("mssweep.steady/s1.events").value(),
             runs[0].result.events_executed);
+  EXPECT_EQ(registry.counter("mssweep.steady/s1.arrivals").value(), 1u);
 }
 
 }  // namespace

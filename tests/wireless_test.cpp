@@ -235,6 +235,33 @@ TEST(CellularLink, DeliversAtTraceRate) {
   EXPECT_NEAR(took, 1.0, 0.1);
 }
 
+TEST(CellularLink, RecycledAggregateKeepsItsCapacity) {
+  // A TTI aggregate is cleared at delivery and its slot reused in place,
+  // so steady state allocates nothing: a 1-packet TTI that reuses the
+  // slot of an earlier 20-packet TTI must still hold the 20-packet buffer.
+  Simulator sim;
+  sim::Rng rng(1);
+  const auto tr = trace::constant_trace(1e9, 100_s);  // 125 kB per TTI
+  Channel ch(&tr);
+  queue::DropTailFifo q(-1);
+  std::size_t delivered = 0;
+  CellularLink link(sim, rng, ch, q, {}, [&](Packet&&) { ++delivered; });
+  for (int i = 0; i < 20; ++i) link.offer(make_packet(1000));
+  sim.run_until(TimePoint::zero() + 10_ms);
+  ASSERT_EQ(delivered, 20u);
+  ASSERT_EQ(link.aggregates().capacity(), 1u);
+  const std::size_t big = link.aggregates().at(0).capacity();
+  ASSERT_GE(big, 20u);
+  for (int tti = 0; tti < 5; ++tti) {
+    link.offer(make_packet(1000));
+    sim.run_until(sim.now() + 10_ms);
+  }
+  EXPECT_EQ(delivered, 25u);
+  EXPECT_EQ(link.aggregates().capacity(), 1u);  // one slot, reused
+  EXPECT_EQ(link.aggregates().in_use(), 0u);
+  EXPECT_EQ(link.aggregates().at(0).capacity(), big);
+}
+
 TEST(CellularLink, BudgetDoesNotBankWhileIdle) {
   Simulator sim;
   sim::Rng rng(1);
