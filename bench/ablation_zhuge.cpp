@@ -6,7 +6,8 @@
 //   5. retreatable holds on/off (good news travels fast)
 //   6. Fortune Teller window length sweep (transience-equilibrium nexus)
 // Each variant runs the W1 trace (RTP for 1-2, TCP for 3-5) plus the
-// k=10 bandwidth-drop microbenchmark.
+// k=10 bandwidth-drop microbenchmark at seeds 1-5 (mean and min-max: one
+// seed's drop time flips with unrelated modelling changes).
 
 #include "bench_util.hpp"
 
@@ -22,8 +23,8 @@ struct Variant {
 };
 
 void run_table(const std::vector<Variant>& variants) {
-  std::printf("  %-28s %12s %12s | %12s\n", "variant", "W1 RTT>200", "W1 fd>400",
-              "drop k=10 (s)");
+  std::printf("  %-28s %12s %12s | %s\n", "variant", "W1 RTT>200", "W1 fd>400",
+              "drop k=10 (s): mean [min-max], seeds 1-5");
   for (const auto& v : variants) {
     // Trace-driven W1.
     const auto metrics = averaged_tails(
@@ -38,17 +39,27 @@ void run_table(const std::vector<Variant>& variants) {
           return app::run_multi_station(spec);
         },
         3);
-    // Bandwidth-drop microbenchmark.
+    // Bandwidth-drop microbenchmark: seconds with RTT > 200 ms after it.
     const Duration drop_at = Duration::seconds(20);
     const Duration dur = Duration::seconds(40);
-    auto spec = drop_spec(shared(trace::step_trace(30e6, 3e6, drop_at, dur)),
-                          v.flow, ApMode::kZhuge, 3);
-    v.tweak(spec.zhuge);
-    const auto deg = degradation_after(app::run_multi_station(spec), drop_at, dur);
+    const auto drop = shared(trace::step_trace(30e6, 3e6, drop_at, dur));
+    constexpr int kDropSeeds = 5;
+    double sum = 0.0;
+    double lo = 0.0;
+    double hi = 0.0;
+    for (int seed = 1; seed <= kDropSeeds; ++seed) {
+      auto spec = drop_spec(drop, v.flow, ApMode::kZhuge, static_cast<std::uint64_t>(seed));
+      v.tweak(spec.zhuge);
+      const double secs =
+          degradation_after(app::run_multi_station(spec), drop_at, dur).rtt_secs;
+      sum += secs;
+      lo = seed == 1 ? secs : std::min(lo, secs);
+      hi = seed == 1 ? secs : std::max(hi, secs);
+    }
 
-    std::printf("  %-28s %11.3f%% %11.3f%% | %12.2f\n", v.label.c_str(),
+    std::printf("  %-28s %11.3f%% %11.3f%% | %6.2f [%.2f-%.2f]\n", v.label.c_str(),
                 100.0 * metrics.rtt_gt_200, 100.0 * metrics.fd_gt_400,
-                deg.rtt_secs);
+                sum / kDropSeeds, lo, hi);
   }
 }
 

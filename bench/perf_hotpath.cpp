@@ -138,9 +138,10 @@ void BM_SimPacketEventsUnbatched(benchmark::State& state) {
 }
 BENCHMARK(BM_SimPacketEventsUnbatched);
 
-/// Cancel/reschedule churn: the AckScheduler re-arms its release timer on
-/// every hold/retreat, cancelling the previous one. Exercises cancel cost
-/// and the event queue's tolerance of stale entries.
+/// Cancel/reschedule churn: a timer re-armed on every operation by
+/// cancelling the previous one (how the AckScheduler and TCP RTO re-armed
+/// before Simulator::reschedule). Exercises cancel cost and the event
+/// queue's tolerance of stale entries.
 void BM_SimCancelRescheduleChurn(benchmark::State& state) {
   sim::Simulator simu;
   sim::EventId timer = 0;
@@ -157,6 +158,31 @@ void BM_SimCancelRescheduleChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SimCancelRescheduleChurn);
+
+/// The same re-arm churn through Simulator::reschedule, as TcpSender's RTO
+/// and the AckScheduler now re-arm: the timer moves in place (same id, same
+/// callable), so a later deadline leaves no stale heap entry behind.
+void BM_SimRescheduleInPlace(benchmark::State& state) {
+  sim::Simulator simu;
+  sim::EventId timer = 0;
+  std::uint64_t fired = 0;
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    const TimePoint deadline = simu.now() + Duration::micros(50);
+    if (timer == 0 || !simu.reschedule(timer, deadline)) {
+      timer = simu.schedule_at(deadline, [&fired, &timer] {
+        ++fired;
+        timer = 0;
+      });
+    }
+    if ((++i & 0xFF) == 0) {
+      simu.run_until(simu.now() + Duration::micros(10));
+    }
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimRescheduleInPlace);
 
 // ---- measurement primitives ---------------------------------------------
 

@@ -51,8 +51,8 @@ void AccessPoint::register_station(std::uint32_t ip, wireless::Channel& channel,
   st->kind = scfg.qdisc;
   st->qdisc = make_qdisc(scfg.qdisc, scfg.queue_limit_bytes);
   Station* raw = st.get();
-  const auto on_dequeue = [this, raw, ip](const Packet& p, TimePoint now) {
-    on_station_dequeue(*raw, ip, p, now);
+  const auto on_dequeue = [this, raw](const Packet& p, TimePoint now) {
+    on_station_dequeue(*raw, p, now);
   };
   const auto on_delivered = [this](const Packet& p, TimePoint now) {
     on_wireless_delivered(p, now);
@@ -68,6 +68,9 @@ void AccessPoint::register_station(std::uint32_t ip, wireless::Channel& channel,
         to_client_);
     st->cellular->set_dequeue_observer(on_dequeue);
     st->cellular->set_delivery_observer(on_delivered);
+  }
+  for (const auto& [flow, zf] : zhuge_flows_) {
+    if (flow.dst_ip == ip) st->zhuge_flows.try_emplace(flow, zf.get());
   }
   if (const auto [it, inserted] = stations_.try_emplace(ip, std::move(st)); !inserted) {
     it->second = std::move(st);  // re-registration replaces the station
@@ -133,11 +136,18 @@ void AccessPoint::register_rtc_flow(const net::FlowId& flow) {
   rtc_flows_.insert(flow);
   flow_keys_.emplace(flow, next_flow_key_);
   if (flow_keys_.size() > next_flow_key_) ++next_flow_key_;
+  add_flow_optimizer(flow);
+}
+
+void AccessPoint::add_flow_optimizer(const net::FlowId& flow) {
   if (cfg_.mode == ApMode::kZhuge) {
-    zhuge_flows_.try_emplace(
+    const auto [it, inserted] = zhuge_flows_.try_emplace(
         flow, std::make_unique<core::ZhugeFlow>(
                   sim_, rng_, flow, cfg_.zhuge,
                   [this](Packet&& p) { send_feedback(std::move(p)); }));
+    if (const auto st = stations_.find(flow.dst_ip); inserted && st != stations_.end()) {
+      st->second->zhuge_flows.try_emplace(flow, it->second.get());
+    }
   } else if (cfg_.mode == ApMode::kFastAck) {
     fastack_flows_.try_emplace(flow,
                                std::make_unique<baseline::FastAck>(cfg_.fastack));
@@ -170,6 +180,9 @@ std::size_t AccessPoint::unregister_rtc_flow(const net::FlowId& flow) {
   if (const auto it = zhuge_flows_.find(flow); it != zhuge_flows_.end()) {
     flushed = it->second->teardown();
     retire_flow_stats(flow, *it->second);
+    if (const auto st = stations_.find(flow.dst_ip); st != stations_.end()) {
+      st->second->zhuge_flows.erase(flow);
+    }
     zhuge_flows_.erase(it);
     ZHUGE_METRIC_INC("ap.flow_unregistered");
     ZHUGE_TRACE(sim_.now(), "ap", "unregister_flow",
@@ -187,17 +200,8 @@ void AccessPoint::restart_optimizer() {
   }
   zhuge_flows_.clear();
   fastack_flows_.clear();
-  for (const auto& flow : rtc_flows_) {
-    if (cfg_.mode == ApMode::kZhuge) {
-      zhuge_flows_.try_emplace(
-          flow, std::make_unique<core::ZhugeFlow>(
-                    sim_, rng_, flow, cfg_.zhuge,
-                    [this](Packet&& p) { send_feedback(std::move(p)); }));
-    } else if (cfg_.mode == ApMode::kFastAck) {
-      fastack_flows_.try_emplace(flow,
-                                 std::make_unique<baseline::FastAck>(cfg_.fastack));
-    }
-  }
+  for (auto& [ip, st] : stations_) st->zhuge_flows.clear();
+  for (const auto& flow : rtc_flows_) add_flow_optimizer(flow);
   ZHUGE_METRIC_INC("ap.optimizer_restarts");
   ZHUGE_TRACE(sim_.now(), "ap", "optimizer_restart",
               {"flows", double(rtc_flows_.size())},
@@ -288,8 +292,8 @@ void AccessPoint::from_wan(Packet&& p) {
   }
 }
 
-void AccessPoint::on_station_dequeue(Station& st, std::uint32_t ip,
-                                     const Packet& p, TimePoint now) {
+void AccessPoint::on_station_dequeue(Station& st, const Packet& p,
+                                     TimePoint now) {
   // Every station's departures feed one AP-wide dequeue-rate window: the
   // ABC router's queue-delay estimate tracks the aggregate airtime rate.
   // Only read when mode == kAbc, so recording it unconditionally cannot
@@ -310,9 +314,7 @@ void AccessPoint::on_station_dequeue(Station& st, std::uint32_t ip,
   // competition (whole-queue bytes divided by a single flow's share of
   // the rate).
   const bool empty_after = st.qdisc->byte_count() == 0;
-  for (auto& [flow, zf] : zhuge_flows_) {
-    if (flow.dst_ip == ip) zf->on_dequeue(p, now, empty_after);
-  }
+  for (auto& [flow, zf] : st.zhuge_flows) zf->on_dequeue(p, now, empty_after);
 }
 
 void AccessPoint::on_wireless_delivered(const Packet& p, TimePoint now) {

@@ -181,6 +181,10 @@ class AccessPoint {
     std::unique_ptr<wireless::WifiLink> wifi;
     std::unique_ptr<wireless::CellularLink> cellular;
     bool active = true;
+    /// The Zhuge flows routed here (dst_ip == this station's IP), in
+    /// zhuge_flows_'s key order: a shared queue's every departure feeds
+    /// each of their Fortune Tellers without scanning the AP-wide table.
+    sim::FlatMap<net::FlowId, core::ZhugeFlow*> zhuge_flows;
 
     bool offer(Packet&& p) {
       return wifi != nullptr ? wifi->offer(std::move(p))
@@ -189,9 +193,11 @@ class AccessPoint {
   };
 
   void send_feedback(Packet&& p);
+  /// Create `flow`'s optimiser for the AP mode and, for Zhuge, list it at
+  /// its station.
+  void add_flow_optimizer(const net::FlowId& flow);
   void retire_flow_stats(const net::FlowId& flow, core::ZhugeFlow& zf);
-  void on_station_dequeue(Station& st, std::uint32_t ip, const Packet& p,
-                          TimePoint now);
+  void on_station_dequeue(Station& st, const Packet& p, TimePoint now);
   void on_wireless_delivered(const Packet& p, TimePoint now);
   [[nodiscard]] Duration instantaneous_queue_delay(const queue::Qdisc& q,
                                                    TimePoint now) const;

@@ -441,6 +441,9 @@ bool parse_trace_class(const std::string& s, trace::TraceKind& out) {
 
 namespace {
 
+// Value of an optional key, or `fallback` when it is absent. Sections check
+// their values' types first (known_fields), so the fallback never stands in
+// for a value of the wrong type.
 double num_field(const Json& obj, const char* key, double fallback) {
   const Json* v = obj.find(key);
   return v != nullptr ? v->number_or(fallback) : fallback;
@@ -470,6 +473,52 @@ bool known_keys(const Json& obj, std::initializer_list<std::string_view> known,
     if (std::find(known.begin(), known.end(), key) == known.end()) {
       if (err != nullptr) {
         *err = at_line(value) + "unknown key '" + key + "' in " + section;
+      }
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A known key of a spec section and the JSON type its value must have.
+/// kSection marks a nested section, which is checked on its own (with its
+/// own "must be an object/array" diagnostic).
+struct Field {
+  std::string_view key;
+  Json::Kind kind;
+};
+constexpr Json::Kind kSection = Json::Kind::kNull;
+
+const char* kind_name(Json::Kind kind) {
+  switch (kind) {
+    case Json::Kind::kBool: return "a boolean";
+    case Json::Kind::kNumber: return "a number";
+    case Json::Kind::kString: return "a string";
+    case Json::Kind::kArray: return "an array";
+    case Json::Kind::kObject: return "an object";
+    case Json::Kind::kNull: break;
+  }
+  return "null";
+}
+
+/// known_keys() plus a type check, so a value of the wrong type fails with
+/// "line N: key '<k>' in <section> must be a <type>" instead of silently
+/// falling back to the key's default ("mcs": "3" running MCS 7).
+bool known_fields(const Json& obj, std::initializer_list<Field> known,
+                  const std::string& section, std::string* err) {
+  for (const auto& [key, value] : obj.object()) {
+    const auto it = std::find_if(known.begin(), known.end(),
+                                 [&](const Field& f) { return f.key == key; });
+    if (it == known.end()) {
+      if (err != nullptr) {
+        *err = at_line(value) + "unknown key '" + key + "' in " + section;
+      }
+      return false;
+    }
+    if (it->kind != kSection && value.kind() != it->kind) {
+      if (err != nullptr) {
+        *err = at_line(value) + "key '" + key + "' in " + section + " must be " +
+               kind_name(it->kind);
       }
       return false;
     }
@@ -638,7 +687,8 @@ bool parse_faults(const Json& obj, double duration_s, fault::FaultPlan& out,
     if (!jumps->is_array()) return fail(*jumps, "\"clock_jumps\" must be an array");
     for (const Json& j : jumps->array()) {
       if (!j.is_object()) return fail(j, "clock_jumps[] must be objects");
-      if (!known_keys(j, {"at_s", "delta_ms"}, "faults.clock_jumps[]", err)) {
+      if (!known_fields(j, {{"at_s", Json::Kind::kNumber}, {"delta_ms", Json::Kind::kNumber}},
+                        "faults.clock_jumps[]", err)) {
         return false;
       }
       const double at = num_field(j, "at_s", -1.0);
@@ -671,25 +721,29 @@ std::optional<ScenarioSpec> parse_scenario_spec(std::string_view text,
     return std::nullopt;
   };
   std::string kerr;
-  const auto strict = [&kerr](const Json& obj,
-                              std::initializer_list<std::string_view> known,
+  const auto strict = [&kerr](const Json& obj, std::initializer_list<Field> known,
                               const char* section) {
     if (!obj.is_object()) {
       kerr = at_line(obj) + section + " must be an object";
       return false;
     }
-    return known_keys(obj, known, section, &kerr);
+    return known_fields(obj, known, section, &kerr);
   };
+  constexpr Json::Kind kNum = Json::Kind::kNumber;
+  constexpr Json::Kind kStr = Json::Kind::kString;
+  constexpr Json::Kind kBool = Json::Kind::kBool;
 
   std::string jerr;
   const auto doc = Json::parse(text, &jerr);
   if (!doc.has_value()) return fail(jerr);
   if (!doc->is_object()) return fail("spec must be a JSON object");
   if (!strict(*doc,
-              {"name", "duration_s", "warmup_s", "seed", "ap_mode",
-               "wan_one_way_ms", "wan_rate_mbps", "interferers", "stations",
-               "flows", "churn", "faults", "series_flow",
-               "zhuge_initial_ladder"},
+              {{"name", kStr}, {"duration_s", kNum}, {"warmup_s", kNum},
+               {"seed", kNum}, {"ap_mode", kStr}, {"wan_one_way_ms", kNum},
+               {"wan_rate_mbps", kNum}, {"interferers", kNum},
+               {"stations", kSection}, {"flows", kSection}, {"churn", kSection},
+               {"faults", kSection}, {"series_flow", kNum},
+               {"zhuge_initial_ladder", kStr}},
               "spec")) {
     return fail(kerr);
   }
@@ -723,8 +777,10 @@ std::optional<ScenarioSpec> parse_scenario_spec(std::string_view text,
   }
   for (const auto& sj : stations->array()) {
     if (!strict(sj,
-                {"count", "mcs", "qdisc", "queue_limit_pkts", "leave_s",
-                 "trace", "trace_csv", "link", "mcs_reroll_s", "fade"},
+                {{"count", kNum}, {"mcs", kNum}, {"qdisc", kStr},
+                 {"queue_limit_pkts", kNum}, {"leave_s", kNum}, {"trace", kStr},
+                 {"trace_csv", kStr}, {"link", kStr}, {"mcs_reroll_s", kNum},
+                 {"fade", kSection}},
                 "stations[]")) {
       return fail(kerr);
     }
@@ -768,7 +824,8 @@ std::optional<ScenarioSpec> parse_scenario_spec(std::string_view text,
       }
     }
     if (const Json* fade = sj.find("fade"); fade != nullptr) {
-      if (!strict(*fade, {"period_s", "depth_mcs", "duty"}, "stations[].fade")) {
+      if (!strict(*fade, {{"period_s", kNum}, {"depth_mcs", kNum}, {"duty", kNum}},
+                  "stations[].fade")) {
         return fail(kerr);
       }
       g.fade.period_s = num_field(*fade, "period_s", 0.0);
@@ -786,8 +843,9 @@ std::optional<ScenarioSpec> parse_scenario_spec(std::string_view text,
     if (!flows->is_array()) return fail("\"flows\" must be an array");
     for (const auto& fj : flows->array()) {
       if (!strict(fj,
-                  {"kind", "station", "zhuge", "start_s", "stop_s",
-                   "max_bitrate_mbps", "fps"},
+                  {{"kind", kStr}, {"station", kNum}, {"zhuge", kBool},
+                   {"start_s", kNum}, {"stop_s", kNum},
+                   {"max_bitrate_mbps", kNum}, {"fps", kNum}},
                   "flows[]")) {
         return fail(kerr);
       }
@@ -812,10 +870,12 @@ std::optional<ScenarioSpec> parse_scenario_spec(std::string_view text,
 
   if (const Json* churn = doc->find("churn"); churn != nullptr) {
     if (!strict(*churn,
-                {"enabled", "mean_interarrival_s", "mean_lifetime_s",
-                 "max_lifetime_s", "max_concurrent", "mix_rtp_gcc",
-                 "mix_tcp_cubic", "mix_tcp_bbr", "zhuge_fraction", "start_s",
-                 "stop_s", "max_bitrate_mbps", "fps"},
+                {{"enabled", kBool}, {"mean_interarrival_s", kNum},
+                 {"mean_lifetime_s", kNum}, {"max_lifetime_s", kNum},
+                 {"max_concurrent", kNum}, {"mix_rtp_gcc", kNum},
+                 {"mix_tcp_cubic", kNum}, {"mix_tcp_bbr", kNum},
+                 {"zhuge_fraction", kNum}, {"start_s", kNum}, {"stop_s", kNum},
+                 {"max_bitrate_mbps", kNum}, {"fps", kNum}},
                 "churn")) {
       return fail(kerr);
     }

@@ -103,13 +103,20 @@ class AckScheduler {
     TimePoint held_since;
   };
 
+  /// Point the timer at the front release: re-armed in place while one is
+  /// pending (every hold and retreat does this), cancelled once nothing is
+  /// held.
   void arm() {
-    if (timer_ != 0) {
-      sim_.cancel(timer_);
-      timer_ = 0;
+    if (pending_.empty()) {
+      if (timer_ != 0) {
+        sim_.cancel(timer_);
+        timer_ = 0;
+      }
+      return;
     }
-    if (pending_.empty()) return;
-    timer_ = sim_.schedule_at(pending_.front().release, [this] {
+    const TimePoint release = pending_.front().release;
+    if (timer_ != 0 && sim_.reschedule(timer_, release)) return;
+    timer_ = sim_.schedule_at(release, [this] {
       timer_ = 0;
       fire();
     });

@@ -6,11 +6,11 @@
 // codebase captures more than that (a link-delivery event owns the
 // in-flight Packet, ~170 bytes), so the old event loop paid one heap
 // allocation — and, via priority_queue::top()'s const ref, one heap
-// *copy* — per event. Callback keeps a 224-byte inline buffer sized so
+// *copy* — per event. Callback keeps a 240-byte inline buffer sized so
 // that a {Simulator*, Packet} closure stays inline and an event-pool
-// node lands on exactly 256 bytes. Callables that are larger than the
-// buffer, over-aligned, or not nothrow-move-constructible fall back to
-// a single heap allocation, preserving correctness for arbitrary
+// node is exactly 256 bytes (four cache lines). Callables that are larger
+// than the buffer, over-aligned, or not nothrow-move-constructible fall
+// back to a single heap allocation, preserving correctness for arbitrary
 // captures.
 //
 // One-shot semantics on purpose: a simulator event fires exactly once,
@@ -36,9 +36,10 @@ namespace zhuge::sim {
 /// simulator callbacks are noexcept in practice.)
 class Callback {
  public:
-  /// Inline capacity. Chosen so sizeof(Callback) == 240 and a pool node
-  /// (callback + bookkeeping) is exactly 256 bytes; see simulator.hpp.
-  static constexpr std::size_t kInlineSize = 224;
+  /// Inline capacity. Chosen so sizeof(Callback) == 256: a pool node is
+  /// exactly four cache lines (its bookkeeping lives in a separate array;
+  /// see simulator.hpp).
+  static constexpr std::size_t kInlineSize = 240;
 
   Callback() = default;
 
@@ -156,6 +157,6 @@ class Callback {
   alignas(std::max_align_t) unsigned char buf_[kInlineSize];
 };
 
-static_assert(sizeof(Callback) == 240, "keep pool nodes at 256 bytes");
+static_assert(sizeof(Callback) == 256, "keep pool nodes at 256 bytes");
 
 }  // namespace zhuge::sim

@@ -8,26 +8,28 @@ namespace zhuge::sim {
 std::uint32_t Simulator::acquire_slot() {
   if (free_head_ != kNilSlot) {
     const std::uint32_t slot = free_head_;
-    free_head_ = pool_[slot].next_free;
+    free_head_ = slots_[slot].next_free;
     return slot;
   }
-  pool_.emplace_back();
-  return static_cast<std::uint32_t>(pool_.size() - 1);
+  const auto slot = static_cast<std::uint32_t>(slots_.size());
+  if ((slot & kChunkMask) == 0) chunks_.push_back(std::make_unique<Chunk>());
+  slots_.emplace_back();
+  return slot;
 }
 
 void Simulator::release_slot(std::uint32_t slot) {
-  Node& n = pool_[slot];
-  ++n.generation;  // invalidate any EventId still pointing at this slot
-  if (n.generation == 0) {
+  Slot& s = slots_[slot];
+  ++s.generation;  // invalidate any EventId still pointing at this slot
+  if (s.generation == 0) {
     // Generation wrapped: every id this slot ever issued is about to
     // become mintable again, so an id held since generation g would
     // validate against an unrelated future event once the counter walks
     // back around to g. Retire the slot instead of recycling it — one
-    // 256-byte node leaked per 2^32 reuses of a single slot, in exchange
-    // for cancel() never accepting a stale handle.
+    // node leaked per 2^32 reuses of a single slot, in exchange for
+    // cancel() never accepting a stale handle.
     return;
   }
-  n.next_free = free_head_;
+  s.next_free = free_head_;
   free_head_ = slot;
 }
 
@@ -39,6 +41,15 @@ void Simulator::release_slot(std::uint32_t slot) {
 // the wider fan-out halves relative to a binary heap.
 
 void Simulator::heap_push(const QEntry& e) {
+  if (held_root_) {
+    // Replace-top: the root is the firing event's dead entry and no
+    // earlier than anything below it, so overwriting it and sifting down
+    // yields a valid heap — one descent instead of a pop plus a push.
+    held_root_ = false;
+    heap_.front() = e;
+    sift_down(0);
+    return;
+  }
   heap_.push_back(e);
   std::size_t i = heap_.size() - 1;
   while (i > 0) {
@@ -90,28 +101,46 @@ void Simulator::rebuild_heap() {
   }
 }
 
+void Simulator::retire_held_root() {
+  if (!held_root_) return;
+  held_root_ = false;
+  heap_pop_front();
+}
+
 // ---- scheduling ------------------------------------------------------------
 
-EventId Simulator::enqueue(TimePoint t, std::uint32_t slot, Node& n) {
+EventId Simulator::enqueue(TimePoint t, std::uint32_t slot) {
   if (t < now_) t = now_;
-  n.seq = next_seq_++;
+  Slot& s = slots_[slot];
+  s.seq = next_seq_++;
+  s.t_ns = t.count_ns();
+  s.anchor_seq = s.seq;
+  s.anchor_t = s.t_ns;
   ++scheduled_;
   ++pending_count_;
-  heap_push(QEntry{(n.seq << kSlotBits) | slot, t.count_ns()});
-  return make_id(n.generation, slot);
+  heap_push(QEntry{(s.seq << kSlotBits) | slot, s.t_ns});
+  return make_id(s.generation, slot);
+}
+
+std::uint32_t Simulator::pending_slot(EventId id) const {
+  const auto low = static_cast<std::uint32_t>(id);
+  if (low == 0) return kNilSlot;
+  const std::uint32_t slot = low - 1;
+  if (slot >= slots_.size()) return kNilSlot;
+  const Slot& s = slots_[slot];
+  if (s.seq == 0 || s.generation != static_cast<std::uint32_t>(id >> 32)) {
+    return kNilSlot;  // already fired or firing, cancelled, or recycled slot
+  }
+  return slot;
 }
 
 bool Simulator::cancel(EventId id) {
-  const std::uint32_t low = static_cast<std::uint32_t>(id);
-  if (low == 0) return false;
-  const std::uint32_t slot = low - 1;
-  if (slot >= pool_.size()) return false;
-  Node& n = pool_[slot];
-  if (n.seq == 0 || n.generation != static_cast<std::uint32_t>(id >> 32)) {
-    return false;  // already fired, already cancelled, or recycled slot
-  }
-  n.seq = 0;       // the heap entry is now stale; discarded lazily on pop
-  n.fn.reset();    // drop the payload (e.g. a held Packet) eagerly
+  const std::uint32_t slot = pending_slot(id);
+  if (slot == kNilSlot) return false;
+  Slot& s = slots_[slot];
+  s.seq = 0;
+  s.anchor_seq = 0;     // the heap entry is now stale; discarded lazily
+  node(slot).reset();   // drop the payload (e.g. a held Packet) eagerly
   release_slot(slot);
   ++cancelled_count_;
   --pending_count_;
@@ -119,38 +148,93 @@ bool Simulator::cancel(EventId id) {
   return true;
 }
 
+bool Simulator::reschedule(EventId id, TimePoint t) {
+  const std::uint32_t slot = pending_slot(id);
+  if (slot == kNilSlot) return false;
+  if (t < now_) t = now_;
+  Slot& s = slots_[slot];
+  s.seq = next_seq_++;  // the serial cancel + schedule_at would take
+  s.t_ns = t.count_ns();
+  ++cancelled_count_;
+  ++scheduled_;
+  // A serial only grows, so the new key is no earlier than the anchor
+  // unless the deadline is: then the old entry would pop too late, and
+  // the event needs a fresh one (the old goes stale). Otherwise the
+  // anchor pops first and settle_front() re-pushes it at the new key.
+  if (s.t_ns < s.anchor_t) {
+    s.anchor_seq = s.seq;
+    s.anchor_t = s.t_ns;
+    heap_push(QEntry{(s.seq << kSlotBits) | slot, s.t_ns});
+    maybe_compact();
+  }
+  return true;
+}
+
 void Simulator::maybe_compact() {
-  // Cancel-heavy churn (the AckScheduler re-arms on every hold) leaves
-  // stale entries behind. Sweep them out when they outnumber live ones
-  // 4:1 so the heap stays O(pending) even over billion-event runs; the
-  // floor of 64 keeps tiny queues from compacting constantly.
+  // Cancel-heavy churn leaves stale entries behind. Sweep them out when
+  // they outnumber live ones 4:1 so the heap stays O(pending) even over
+  // billion-event runs; the floor of 64 keeps tiny queues from compacting
+  // constantly. A held root is popped first: the sweep would remove it
+  // (its event is firing), and the next push must not overwrite a live
+  // entry that the rebuild moved to the root.
   if (heap_.size() <= 64 || heap_.size() <= 4 * pending_count_) return;
+  retire_held_root();
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
                              [this](const QEntry& e) { return !live(e); }),
               heap_.end());
   rebuild_heap();
 }
 
-bool Simulator::step() {
+// ---- firing ----------------------------------------------------------------
+
+bool Simulator::settle_front() {
+  // Bring a firing-ready entry to the root: discard stale entries, and
+  // re-push an anchor whose event was re-armed later at the event's
+  // current key (a replace-top, one descent). Nothing fires here, so
+  // run_until() can peek at the true next deadline.
   while (!heap_.empty()) {
-    const QEntry e = heap_.front();
-    heap_pop_front();
-    const std::uint32_t slot = static_cast<std::uint32_t>(e.seqslot & kSlotMask);
-    Node& n = pool_[slot];
-    if (n.seq != (e.seqslot >> kSlotBits)) continue;  // cancelled; stale
-    n.seq = 0;
-    --pending_count_;
-    now_ = TimePoint{e.t_ns};
-    ++executed_;
-    // Run the callback in place: the pool is a deque, so nested
-    // schedule_at() growing it cannot move this node, and the slot is
-    // only released (and thus reusable) after the callback returns.
-    // operator() consumes the callable (invoke + destroy, one dispatch).
-    n.fn();
-    release_slot(slot);
-    return true;
+    QEntry& top = heap_.front();
+    const auto slot = static_cast<std::uint32_t>(top.seqslot & kSlotMask);
+    const std::uint64_t seq = top.seqslot >> kSlotBits;
+    Slot& s = slots_[slot];
+    if (s.anchor_seq != seq) {
+      heap_pop_front();  // cancelled or superseded; stale
+      continue;
+    }
+    if (s.seq == seq) return true;
+    s.anchor_seq = s.seq;
+    s.anchor_t = s.t_ns;
+    top = QEntry{(s.seq << kSlotBits) | slot, s.t_ns};
+    sift_down(0);
   }
   return false;
+}
+
+void Simulator::fire_front() {
+  const QEntry e = heap_.front();
+  const auto slot = static_cast<std::uint32_t>(e.seqslot & kSlotMask);
+  Slot& s = slots_[slot];
+  s.seq = 0;
+  s.anchor_seq = 0;
+  --pending_count_;
+  now_ = TimePoint{e.t_ns};
+  ++executed_;
+  // Run the callback in place: chunks never move, so nested schedule_at()
+  // growing the pool cannot move this node, and the slot is only released
+  // (and thus reusable) after the callback returns. operator() consumes
+  // the callable (invoke + destroy, one dispatch). The dead entry stays at
+  // the root for the callback's first push to overwrite.
+  held_root_ = true;
+  node(slot)();
+  retire_held_root();
+  release_slot(slot);  // re-indexed: slots_ may have grown meanwhile
+}
+
+bool Simulator::step() {
+  retire_held_root();  // nested inside a callback: that event is done
+  if (!settle_front()) return false;
+  fire_front();
+  return true;
 }
 
 void Simulator::run() {
@@ -161,11 +245,10 @@ void Simulator::run() {
 
 void Simulator::run_until(TimePoint end) {
   stopped_ = false;
+  retire_held_root();
   while (!stopped_) {
-    // Peek past stale (cancelled) entries without firing anything late.
-    while (!heap_.empty() && !live(heap_.front())) heap_pop_front();
-    if (heap_.empty() || heap_.front().t_ns > end.count_ns()) break;
-    step();
+    if (!settle_front() || heap_.front().t_ns > end.count_ns()) break;
+    fire_front();
   }
   if (now_ < end) now_ = end;
 }

@@ -23,10 +23,16 @@ Duration TcpSender::current_rto() const {
 }
 
 void TcpSender::arm_rto() {
-  if (rto_timer_ != 0) sim_.cancel(rto_timer_);
-  rto_timer_ = 0;
-  if (in_flight_.empty()) return;
-  rto_timer_ = sim_.schedule_after(current_rto(), [this] {
+  if (in_flight_.empty()) {
+    if (rto_timer_ != 0) sim_.cancel(rto_timer_);
+    rto_timer_ = 0;
+    return;
+  }
+  // Every ACK re-arms the RTO: move the pending timer in place rather
+  // than cancel it and leave a stale entry in the event heap.
+  const TimePoint deadline = sim_.now() + current_rto();
+  if (rto_timer_ != 0 && sim_.reschedule(rto_timer_, deadline)) return;
+  rto_timer_ = sim_.schedule_at(deadline, [this] {
     rto_timer_ = 0;
     on_rto_fired();
   });

@@ -3,9 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "net/packet.hpp"
+#include "prop.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
@@ -299,9 +305,332 @@ TEST(Simulator, GenerationWraparoundNeverRevalidatesAncientId) {
   EXPECT_EQ(fired, 1);
 }
 
+// ---- in-place re-arm: reschedule() against a reference engine -------------
+
+/// The obviously-correct engine reschedule() must match: an ordered map
+/// keyed by (time, serial), where a re-arm is literally a cancel followed
+/// by a schedule_at of the same callable (fresh serial, one cancel plus
+/// one schedule in the counters). Ids stay stable across re-arms so the
+/// driver below can address both engines alike.
+class ReferenceSim {
+ public:
+  [[nodiscard]] TimePoint now() const { return now_; }
+
+  template <typename F>
+  EventId schedule_at(TimePoint t, F&& fn) {
+    const EventId id = next_id_++;
+    insert(id, t, std::function<void()>(std::forward<F>(fn)));
+    return id;
+  }
+
+  bool cancel(EventId id) { return static_cast<bool>(take(id)); }
+
+  bool reschedule(EventId id, TimePoint t) {
+    std::function<void()> fn = take(id);
+    if (!fn) return false;
+    insert(id, t, std::move(fn));
+    return true;
+  }
+
+  bool step() {
+    if (queue_.empty()) return false;
+    auto it = queue_.begin();
+    now_ = TimePoint{it->first.first};
+    std::function<void()> fn = std::move(it->second.second);
+    keys_.erase(it->second.first);
+    queue_.erase(it);
+    ++executed_;
+    fn();
+    return true;
+  }
+
+  void run_until(TimePoint end) {
+    while (!queue_.empty() && queue_.begin()->first.first <= end.count_ns()) step();
+    if (now_ < end) now_ = end;
+  }
+
+  [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
+  [[nodiscard]] std::uint64_t events_scheduled() const { return scheduled_; }
+  [[nodiscard]] std::uint64_t events_cancelled() const { return cancelled_; }
+  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+
+ private:
+  using Key = std::pair<std::int64_t, std::uint64_t>;
+
+  void insert(EventId id, TimePoint t, std::function<void()> fn) {
+    if (t < now_) t = now_;
+    const Key key{t.count_ns(), next_seq_++};
+    queue_.emplace(key, std::make_pair(id, std::move(fn)));
+    keys_[id] = key;
+    ++scheduled_;
+  }
+
+  std::function<void()> take(EventId id) {
+    const auto k = keys_.find(id);
+    if (k == keys_.end()) return {};
+    const auto q = queue_.find(k->second);
+    std::function<void()> fn = std::move(q->second.second);
+    queue_.erase(q);
+    keys_.erase(k);
+    ++cancelled_;
+    return fn;
+  }
+
+  TimePoint now_;
+  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 1;
+  std::uint64_t scheduled_ = 0;
+  std::uint64_t executed_ = 0;
+  std::uint64_t cancelled_ = 0;
+  std::map<Key, std::pair<EventId, std::function<void()>>> queue_;
+  std::map<EventId, Key> keys_;
+};
+
+/// Drive `Engine` with a random program of schedules, cancels and
+/// re-arms (later, earlier, same instant, onto another event's deadline),
+/// steps and run_until()s, whose callbacks themselves schedule, cancel,
+/// re-arm other events or themselves, or run a nested step/run_until.
+/// Every random draw comes from `rng` in program order, so two engines
+/// that fire identically log identically. The log records each
+/// firing, every call's result and the counters after every driver op.
+template <typename Engine>
+std::vector<std::int64_t> run_reschedule_case(Rng rng) {
+  Engine sim;
+  std::vector<std::int64_t> log;
+  std::vector<EventId> ids;             // logical event -> engine id
+  std::vector<std::int64_t> deadlines;  // last time each was armed for
+  int depth = 0;
+
+  const auto delta = [&] {
+    // Small steps so same-instant ties are common.
+    static constexpr std::int64_t kSteps[] = {0, 0, 1, 2, 3, 5, 8, 40};
+    return Duration::micros(kSteps[rng.uniform_int(8)]);
+  };
+  const auto pick = [&]() -> std::size_t { return rng.uniform_int(static_cast<std::uint32_t>(ids.size())); };
+  const auto snapshot = [&] {
+    log.push_back(sim.now().count_ns());
+    log.push_back(static_cast<std::int64_t>(sim.events_executed()));
+    log.push_back(static_cast<std::int64_t>(sim.events_scheduled()));
+    log.push_back(static_cast<std::int64_t>(sim.events_cancelled()));
+    log.push_back(static_cast<std::int64_t>(sim.pending()));
+  };
+  const auto rearm_time = [&](std::size_t k) {
+    const double mode = rng.uniform();
+    const TimePoint was{deadlines[k]};
+    if (mode < 0.35) return was + delta() + Duration::micros(1);  // later
+    if (mode < 0.6) return was - delta() - Duration::micros(1);   // earlier
+    if (mode < 0.8) return was;                                   // same instant
+    return TimePoint{deadlines[pick()]};                          // tie another
+  };
+
+  std::function<void(std::size_t)> fire;
+  const auto schedule = [&](TimePoint t) {
+    const std::size_t k = ids.size();
+    ids.push_back(sim.schedule_at(t, [&fire, k] { fire(k); }));
+    deadlines.push_back(std::max(t, sim.now()).count_ns());
+  };
+  const auto rearm = [&](std::size_t k, TimePoint t) {
+    const bool ok = sim.reschedule(ids[k], t);
+    if (ok) deadlines[k] = std::max(t, sim.now()).count_ns();
+    log.push_back(ok ? 1 : 0);
+  };
+
+  fire = [&](std::size_t k) {
+    log.push_back(-1 - static_cast<std::int64_t>(k));
+    log.push_back(sim.now().count_ns());
+    const double action = rng.uniform();
+    if (action < 0.3) {
+      schedule(sim.now() + delta());
+    } else if (action < 0.45) {
+      const std::size_t j = pick();
+      rearm(j, rearm_time(j));
+    } else if (action < 0.5) {
+      const bool ok = sim.reschedule(ids[k], sim.now() + delta());
+      EXPECT_FALSE(ok) << "an event cannot re-arm itself while firing";
+      log.push_back(ok ? 1 : 0);
+    } else if (action < 0.6) {
+      log.push_back(sim.cancel(ids[pick()]) ? 1 : 0);
+    } else if (action < 0.66 && depth < 2) {
+      ++depth;
+      sim.run_until(sim.now() + delta());
+      --depth;
+    } else if (action < 0.7 && depth < 2) {
+      ++depth;
+      sim.step();
+      --depth;
+    }
+  };
+
+  for (int op = 0; op < 400; ++op) {
+    const double r = rng.uniform();
+    if (r < 0.3 || ids.empty()) {
+      schedule(sim.now() + delta());
+    } else if (r < 0.4) {
+      log.push_back(sim.cancel(ids[pick()]) ? 1 : 0);
+    } else if (r < 0.7) {
+      const std::size_t k = pick();
+      rearm(k, rearm_time(k));
+    } else if (r < 0.8) {
+      log.push_back(sim.step() ? 1 : 0);
+    } else if (r < 0.97) {
+      sim.run_until(sim.now() + delta());
+    } else {
+      // A cancel burst, so compaction runs (also from inside callbacks,
+      // whose root entry is held) and recycled slots get re-armed.
+      for (int i = 0; i < 90; ++i) schedule(sim.now() + Duration::millis(5));
+      for (int i = 0; i < 90; ++i) log.push_back(sim.cancel(ids[ids.size() - 1 - i]) ? 1 : 0);
+    }
+    snapshot();
+  }
+  while (sim.step()) {
+  }
+  snapshot();
+  return log;
+}
+
+TEST(Simulator, RescheduleMatchesCancelPlusScheduleReference) {
+  prop::for_all([](Rng& rng, int) {
+    // Each engine gets its own copy of the case's generator.
+    const auto got = run_reschedule_case<Simulator>(rng);
+    const auto want = run_reschedule_case<ReferenceSim>(rng);
+    ASSERT_EQ(got, want);
+  });
+}
+
+TEST(Simulator, RescheduleKeepsIdAndRejectsDeadIds) {
+  Simulator sim;
+  std::vector<int> order;
+  const EventId a = sim.schedule_at(TimePoint::zero() + 1_ms, [&] { order.push_back(1); });
+  sim.schedule_at(TimePoint::zero() + 2_ms, [&] { order.push_back(2); });
+  // Later: a now fires after b, still under its old id.
+  EXPECT_TRUE(sim.reschedule(a, TimePoint::zero() + 3_ms));
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_EQ(sim.events_scheduled(), 3u);
+  EXPECT_EQ(sim.events_cancelled(), 1u);
+  // Same instant as b: a fresh serial puts a after b.
+  EXPECT_TRUE(sim.reschedule(a, TimePoint::zero() + 2_ms));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  EXPECT_EQ(sim.events_executed(), 2u);
+  EXPECT_FALSE(sim.reschedule(a, TimePoint::zero() + 9_ms));  // fired
+  EXPECT_FALSE(sim.reschedule(0, TimePoint::zero()));        // never issued
+
+  const EventId c = sim.schedule_after(1_ms, [] {});
+  ASSERT_TRUE(sim.cancel(c));
+  EXPECT_FALSE(sim.reschedule(c, sim.now() + 1_ms));  // cancelled
+  // c's slot is recycled for d; the stale id must not move d.
+  int fired = 0;
+  const EventId d = sim.schedule_after(1_ms, [&] { ++fired; });
+  ASSERT_EQ(static_cast<std::uint32_t>(c), static_cast<std::uint32_t>(d));
+  EXPECT_FALSE(sim.reschedule(c, sim.now() + 50_ms));
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), TimePoint::zero() + 3_ms);
+}
+
+TEST(Simulator, RescheduleFromOwnCallbackIsRejected) {
+  Simulator sim;
+  EventId self = 0;
+  bool moved = true;
+  self = sim.schedule_after(1_ms, [&] { moved = sim.reschedule(self, sim.now() + 1_ms); });
+  sim.run();
+  EXPECT_FALSE(moved);
+  EXPECT_EQ(sim.events_executed(), 1u);
+  EXPECT_EQ(sim.events_cancelled(), 0u);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, RunUntilDoesNotFireAReArmedEventEarly) {
+  // The anchor of an event re-armed later sits in the heap at its old
+  // time; run_until must not take it for an event due before `end`.
+  Simulator sim;
+  int fired = 0;
+  const EventId id = sim.schedule_after(1_ms, [&] { ++fired; });
+  ASSERT_TRUE(sim.reschedule(id, TimePoint::zero() + 10_ms));
+  sim.run_until(TimePoint::zero() + 5_ms);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.now(), TimePoint::zero() + 5_ms);
+  sim.run_until(TimePoint::zero() + 10_ms);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(Simulator, NestedRunUntilFromCallbackRetiresHeldRoot) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(TimePoint::zero() + 1_ms, [&] {
+    order.push_back(1);
+    sim.run_until(TimePoint::zero() + 3_ms);  // fires 2 from inside 1
+    sim.schedule_at(TimePoint::zero() + 3_ms, [&] { order.push_back(4); });
+  });
+  sim.schedule_at(TimePoint::zero() + 2_ms, [&] { order.push_back(2); });
+  sim.schedule_at(TimePoint::zero() + 5_ms, [&] { order.push_back(5); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 5}));
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.queue_size(), 0u);
+}
+
+TEST(Simulator, CompactionWhileRootIsHeldKeepsLiveEvents) {
+  // A callback that cancels enough to trigger compaction, then schedules:
+  // the compaction must retire the firing event's held root first, or the
+  // push would overwrite whichever live entry the rebuild left on top.
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<EventId> victims;
+  for (int i = 0; i < 100; ++i) {
+    victims.push_back(sim.schedule_at(TimePoint::zero() + Duration::millis(10 + i),
+                                      [&order, i] { order.push_back(i); }));
+  }
+  sim.schedule_at(TimePoint::zero() + 1_ms, [&] {
+    // Latest first, so the earliest survivor tops the rebuilt heap.
+    for (int i = 99; i >= 10; --i) ASSERT_TRUE(sim.cancel(victims[i]));
+    sim.schedule_at(TimePoint::zero() + 2_ms, [&] { order.push_back(-1); });
+  });
+  sim.run();
+  std::vector<int> want{-1};
+  for (int i = 0; i < 10; ++i) want.push_back(i);
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.queue_size(), 0u);
+}
+
+TEST(Simulator, InPlaceReArmKeepsHeapAtLiveEvents) {
+  // The RTO pattern: many timers, each pushed later on every "ACK", some
+  // expiring and re-arming themselves. A million re-arms must leave the
+  // heap holding live events only (cancel + schedule_at would leave one
+  // stale entry per re-arm until compaction).
+  Simulator sim;
+  constexpr std::size_t kTimers = 200;
+  std::vector<EventId> timers(kTimers, 0);
+  std::uint64_t expiries = 0;
+  std::function<void(std::size_t)> arm = [&](std::size_t i) {
+    // Expiry re-arms shorter than any ACK does, so every ACK's re-arm is
+    // a later deadline.
+    timers[i] = sim.schedule_after(Duration::micros(90), [&, i] {
+      ++expiries;
+      arm(i);
+    });
+  };
+  for (std::size_t i = 0; i < kTimers; ++i) arm(i);
+  std::size_t worst = 0;
+  for (int n = 0; n < 1'000'000; ++n) {
+    const std::size_t i = static_cast<std::size_t>(n) % kTimers;
+    const Duration later = Duration::micros(100 + static_cast<std::int64_t>(n % 7) * 10);
+    ASSERT_TRUE(sim.reschedule(timers[i], sim.now() + later));
+    if (n % 2 == 0) sim.run_until(sim.now() + 1_us);
+    worst = std::max(worst, sim.queue_size() - sim.pending());
+    ASSERT_LE(sim.queue_size(), sim.pending() + 64);
+  }
+  EXPECT_EQ(sim.pending(), kTimers);
+  EXPECT_GT(expiries, 0u);
+  EXPECT_EQ(sim.events_cancelled(), 1'000'000u);
+  EXPECT_EQ(worst, 0u);
+}
+
 TEST(Callback, TypicalEventClosuresStayInline) {
-  // The whole point of the 224-byte buffer: a closure owning a ~170-byte
-  // packet payload plus a simulator pointer must not heap-allocate.
+  // The whole point of the 240-byte buffer: a closure owning a packet plus
+  // a simulator pointer and a handler pointer must not heap-allocate.
   struct FakePacket {
     unsigned char payload[168];
   };
@@ -309,6 +638,9 @@ TEST(Callback, TypicalEventClosuresStayInline) {
   FakePacket pkt{};
   auto closure = [sim, pkt] { (void)sim; };
   EXPECT_TRUE(Callback::fits_inline<decltype(closure)>());
+  void* owner = nullptr;
+  auto packet_closure = [sim, owner, p = net::Packet{}] { (void)sim, (void)owner; };
+  EXPECT_TRUE(Callback::fits_inline<decltype(packet_closure)>());
 
   struct Oversized {
     unsigned char blob[Callback::kInlineSize + 1];

@@ -371,6 +371,8 @@ TEST(ScenarioSpecParse, KnownBadFixturesRejectWithLineNumbers) {
        "line 6: series_flow must be -1 or the index of a flows[] entry"},
       {"station_csv_missing.json",
        "line 5: stations[].trace_csv: trace: cannot open no/such/trace.csv"},
+      {"wrong_type_mcs.json", "line 4: key 'mcs' in stations[] must be a number"},
+      {"wrong_type_zhuge.json", "line 7: key 'zhuge' in flows[] must be a boolean"},
   };
   for (const auto& c : cases) {
     const std::string path =
